@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .corpus import CONTROL_CORPUS
 from .discrepancy import equidistribution_report
+from .errors import GateError
 from .ergodic import (
     Box,
     DiagonalUnitarySystem,
@@ -66,10 +67,6 @@ CACHE_ENV = "PRIMEUD_CACHE_DIR"
 
 
 class UsageError(ValueError):
-    pass
-
-
-class AssertionFailure(RuntimeError):
     pass
 
 
@@ -583,14 +580,35 @@ def _cmd_corpus_run(config: RunConfig) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(t) for t in text.split(",")]
+
+
+def _floats(text: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of numbers") from None
+
+
 def _add_common(sp, table=True):
     sp.add_argument("--out", default=None, help="artifact path (default: stdout)")
     sp.add_argument("--format", default=None,
                     choices=["json", "csv", "plotdata"], dest="fmt",
                     help="default: inferred from --out extension, else json")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--chunk", type=int, default=DEFAULT_CHUNK)
+    sp.add_argument("--threads", type=_positive_int, default=1)
+    sp.add_argument("--chunk", type=_positive_int, default=DEFAULT_CHUNK)
     if table:
         sp.add_argument("--table-limit", type=int, default=2_000_000)
         sp.add_argument("--cache", default=None,
@@ -614,10 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--domain", default="primes",
                     choices=["integers", "primes", "primes_in_ap"])
-    sp.add_argument("--modulus", type=int, default=1)
+    sp.add_argument("--modulus", type=_positive_int, default=1)
     sp.add_argument("--residue", type=int, default=1)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--checkpoints", default=None,
+    sp.add_argument("--checkpoints", type=_positive_ints, default=None,
                     help="comma-separated N checkpoints (default: just N)")
     _add_common(sp)
 
@@ -652,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--X1", type=int, default=10_000)
     sp.add_argument("--X", type=int, default=10_000)
     sp.add_argument("--j-max", type=int, default=2, dest="j_max")
-    sp.add_argument("--samples", default=None,
+    sp.add_argument("--samples", type=_floats, default=None,
                     help="comma-separated x samples for --which differential")
     _add_common(sp)
 
@@ -688,12 +706,6 @@ _HANDLERS = {
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     skip = {"command", "out", "fmt", "seed", "threads", "chunk", "table_limit"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
-    if "checkpoints" in params and params["checkpoints"]:
-        params["checkpoints"] = [int(t) for t in params["checkpoints"].split(",")]
-    elif "checkpoints" in params:
-        params["checkpoints"] = None
-    if "samples" in params and params["samples"]:
-        params["samples"] = [float(t) for t in params["samples"].split(",")]
     if params.get("cache") is None and os.environ.get(CACHE_ENV):
         params["cache"] = os.path.join(
             os.environ[CACHE_ENV], f"primes_{getattr(args, 'table_limit', 0)}.bin"
@@ -740,7 +752,7 @@ def main(argv=None) -> int:
             ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionFailure as exc:
+    except GateError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 

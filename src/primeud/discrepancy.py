@@ -16,8 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .expsums import DEFAULT_CHUNK, erdos_turan_bound, weyl_moduli
-from .hardy import BOUNDARY_TOL, HardyExpr, evaluate_array, magnitude_bound
+from .expsums import (
+    DEFAULT_CHUNK,
+    _check_magnitude,
+    erdos_turan_bound,
+    weyl_moduli,
+)
+from .errors import GateError
+from .hardy import BOUNDARY_TOL, HardyExpr, evaluate_array
 from .ddarith import frac_unit
 from .primes import PrimeTable
 
@@ -115,8 +121,7 @@ def fractional_parts(expr: HardyExpr, q: int, domain: str, N: int,
     if N < 1:
         raise ValueError("N must be >= 1")
     ns = _domain_indices(domain, N, table, modulus, residue)
-    if magnitude_bound(expr, float(ns[-1]), q) > 2.0**90:
-        raise OverflowError("phase magnitude exceeds the compensated range")
+    _check_magnitude(expr, q, float(ns[-1]))
 
     def work(chunk: np.ndarray):
         if expr.is_zero:
@@ -173,9 +178,11 @@ def report_from_points(sample: PointSample, *, et_Q: int = 50,
     pts = sample.points
     N = len(pts)
     star = star_discrepancy(pts)
-    et = erdos_turan_bound(pts, et_Q, star=star)
-    assert et.holds, "harmonic bound must dominate the exact star discrepancy"
-    moduli = tuple(weyl_moduli(pts, weyl_q_max))
+    harmonics = weyl_moduli(pts, max(et_Q, weyl_q_max))
+    et = erdos_turan_bound(pts, et_Q, star=star, harmonics=harmonics[:et_Q])
+    if not et.holds:
+        raise GateError("harmonic bound must dominate the exact star discrepancy")
+    moduli = tuple(harmonics[:weyl_q_max])
     extreme = lo = hi = None
     if with_extreme:
         if N <= EXTREME_CAP:

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .ddarith import DD, frac_nearest
+from .errors import GateError
 from .hardy import (
     COMPENSATED_LIMIT,
     HardyExpr,
@@ -53,7 +54,8 @@ class ExpSumResult:
     @staticmethod
     def make(total: complex, count: int) -> "ExpSumResult":
         mag = abs(total)
-        assert mag <= count * (1.0 + 1e-12) + 1e-9, "triangle inequality violated"
+        if mag > count * (1.0 + 1e-12) + 1e-9:
+            raise GateError("triangle inequality violated")
         norm = 0.0 if count == 0 else min(mag / count, 1.0)
         return ExpSumResult(sum=total, count=count, normalized=norm)
 
@@ -158,7 +160,8 @@ def _exp_sum_over(expr: HardyExpr, q: int, chunks: list[np.ndarray],
 def _check_magnitude(expr: HardyExpr, q: int, x_max: float) -> None:
     if magnitude_bound(expr, x_max, q) > COMPENSATED_LIMIT:
         raise OverflowError(
-            "phase magnitude exceeds the compensated range (~2^90)"
+            "phase magnitude exceeds the compensated range "
+            f"(2^{math.log2(COMPENSATED_LIMIT):g})"
         )
 
 
@@ -338,24 +341,36 @@ def composite_bound_eval(phase: HardyExpr, q: int, k: int, X1: int, X: int, *,
 
 
 def weyl_moduli(points: np.ndarray, Q: int) -> list[tuple[int, float]]:
-    """Normalized harmonic sums |sum e(q x_j)| / N for q = 1..Q."""
+    """Normalized harmonic sums |sum e(q x_j)| / N for q = 1..Q.
+
+    z_j = e(x_j) is evaluated once and z_j^q = z_j^(q-1) z_j by an in-place
+    complex multiply, so the Q harmonics cost one cos/sin pass.  Each
+    multiply adds a few ulps of relative error, so the error of the q-th
+    modulus grows about linearly in q, like the rounding of 2 pi q x in a
+    direct evaluation; it is tested against mpmath at q * 1e-15.
+    """
     pts = np.asarray(points, dtype=np.float64)
     N = len(pts)
+    z = e(pts)
+    zq = np.ones_like(z)
     out = []
     for q in range(1, Q + 1):
-        w = 2.0 * np.pi * q * pts
-        out.append((q, float(abs(np.sum(np.cos(w)) + 1j * np.sum(np.sin(w)))) / N))
+        np.multiply(zq, z, out=zq)
+        out.append((q, float(abs(np.sum(zq))) / N))
     return out
 
 
 def erdos_turan_bound(points, Q: int, *, constant: float = ERDOS_TURAN_CONSTANT,
-                      star: float | None = None) -> BoundReport:
+                      star: float | None = None,
+                      harmonics: list[tuple[int, float]] | None = None
+                      ) -> BoundReport:
     """Exact star discrepancy against the harmonic-sum bound
 
         D* <= C (1/Q + (1/N) sum_{q<=Q} (1/q) |sum_n e(q x_n)|),  C = 4.
 
     C = 4 dominates the classical explicit constant, so holds must be true
-    for every point set.
+    for every point set.  ``star`` and ``harmonics`` (the first Q entries of
+    ``weyl_moduli(points, ...)``) may be passed in when already computed.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
@@ -369,7 +384,10 @@ def erdos_turan_bound(points, Q: int, *, constant: float = ERDOS_TURAN_CONSTANT,
         from .discrepancy import star_discrepancy
 
         star = star_discrepancy(pts)
-    harmonics = weyl_moduli(pts, Q)
+    if harmonics is None:
+        harmonics = weyl_moduli(pts, Q)
+    elif len(harmonics) != Q:
+        raise ValueError(f"need {Q} harmonics, got {len(harmonics)}")
     total = math.fsum(m / q for q, m in harmonics)
     bound = constant * (1.0 / Q + total)
     return _make_bound_report(

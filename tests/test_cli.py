@@ -2,14 +2,32 @@
 determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
 
 from primeud.cli import main
 from primeud.corpus import CONTROL_CORPUS
 from primeud.literals import format_expr, parse_expr
 
+ROOT = Path(__file__).resolve().parents[1]
+ARTIFACT_SCHEMA = json.loads(
+    (ROOT / "schemas" / "run_artifact.schema.json").read_text())
+
 
 def run_cli(*args):
     return main(list(args))
+
+
+def load_artifact(path):
+    """Parse a JSON artifact and check it against the run-artifact schema."""
+    blob = json.loads(Path(path).read_text())
+    jsonschema.validate(blob, ARTIFACT_SCHEMA)
+    return blob
 
 
 def test_corpus_literals_round_trip():
@@ -65,7 +83,7 @@ def test_vaughan_check_artifact(tmp_path):
     code = run_cli("vaughan-check", "--X", "500", "--u", "5", "--v", "5",
                    "--phase", "0.37*x", "--out", str(out))
     assert code == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["identity_holds"] is True
     assert blob["results"]["residual"] < 1e-9
 
@@ -75,7 +93,7 @@ def test_weyl_sum_command(tmp_path):
     code = run_cli("weyl-sum", "--expr", "x^(3/2)", "--domain", "integers",
                    "--range", "2", "5000", "--out", str(out))
     assert code == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["count"] == 4999
     assert 0.0 <= blob["results"]["normalized"] <= 1.0
 
@@ -87,7 +105,7 @@ def test_sieve_command_with_cache(tmp_path):
                    "--out", str(out))
     assert code == 0
     assert cache.exists()
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["count"] == 1229  # pi(10^4)
 
 
@@ -96,7 +114,7 @@ def test_bound_check_vdc_holds(tmp_path):
     code = run_cli("bound-check", "--which", "vdc", "--N", "200", "--H", "12",
                    "--seed", "3", "--out", str(out))
     assert code == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["holds"] is True
 
 
@@ -106,7 +124,7 @@ def test_bound_check_erdos_turan(tmp_path):
                    "--N", "2000", "--Q", "40", "--table-limit", "50000",
                    "--out", str(out))
     assert code == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["holds"] is True
 
 
@@ -123,7 +141,7 @@ def test_bound_check_differential_window_expr(tmp_path):
                    "--expr", "x^(1/2)", "--samples", "10,1000,100000",
                    "--out", str(out))
     assert code == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["all_ok"] is True
 
 
@@ -140,7 +158,7 @@ def test_ergodic_average_config(tmp_path):
     out = tmp_path / "e.json"
     code = run_cli("ergodic-average", "--config", str(cfg), "--out", str(out))
     assert code == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["deviation"] < 0.1
 
 
@@ -155,7 +173,7 @@ def test_recurrence_scan_torus_config(tmp_path):
     )
     out = tmp_path / "t.json"
     assert run_cli("recurrence-scan", "--config", str(cfg), "--out", str(out)) == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["margin"] >= -0.02
 
 
@@ -167,7 +185,7 @@ def test_recurrence_scan_lattice_filter_config(tmp_path):
     )
     out = tmp_path / "l.json"
     assert run_cli("recurrence-scan", "--config", str(cfg), "--out", str(out)) == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["valid"] is True
     assert 0.0 < blob["results"]["relative_density"] < 1.0
 
@@ -181,7 +199,7 @@ def test_fcplus_probe_config(tmp_path):
     )
     out = tmp_path / "f.json"
     assert run_cli("fcplus-probe", "--config", str(cfg), "--out", str(out)) == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     assert blob["results"]["mass_at_zero"] <= blob["results"]["final_tail_max"] + 0.01
 
 
@@ -202,7 +220,7 @@ def test_corpus_run_and_determinism(tmp_path):
                        "--out", str(out))
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
-    blob = json.loads(out1.read_text())
+    blob = load_artifact(out1)
     assert blob["results"]["all_pass"] is True
     names = {e["name"] for e in blob["results"]["entries"]}
     assert "log" in names and "irr-quad" in names
@@ -212,7 +230,7 @@ def test_corpus_run_flags_negative_controls(tmp_path):
     out = tmp_path / "c.json"
     run_cli("corpus-run", "--N", "10000", "--table-limit", "200000",
             "--out", str(out))
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     by_name = {e["name"]: e for e in blob["results"]["entries"]}
     assert by_name["log"]["criterion_ud"] is False
     assert by_name["log"]["check"] == "floor"
@@ -226,7 +244,7 @@ def test_ud_test_primes_in_ap_domain(tmp_path):
                    "--modulus", "4", "--residue", "1", "--N", "1000",
                    "--table-limit", "100000", "--out", str(out))
     assert code == 0
-    blob = json.loads(out.read_text())
+    blob = load_artifact(out)
     src = blob["results"]["reports"][0]["source"]
     assert src["modulus"] == 4 and src["residue"] == 1
 
@@ -265,6 +283,56 @@ def test_config_hash_stable_across_runs(tmp_path):
     for out in (out1, out2):
         run_cli("weyl-sum", "--expr", "x^(1/2)", "--domain", "integers",
                 "--range", "2", "1000", "--out", str(out))
-    h1 = json.loads(out1.read_text())["config_hash"]
-    h2 = json.loads(out2.read_text())["config_hash"]
+    h1 = load_artifact(out1)["config_hash"]
+    h2 = load_artifact(out2)["config_hash"]
     assert h1 == h2
+
+
+UD_SMALL = ["ud-test", "--expr", "x^(1/2)", "--N", "100", "--table-limit", "10000"]
+
+
+@pytest.mark.parametrize("argv", [
+    UD_SMALL + ["--checkpoints", "10,abc"],
+    UD_SMALL + ["--checkpoints", "10,0"],
+    UD_SMALL + ["--chunk", "0"],
+    UD_SMALL + ["--chunk", "-5"],
+    UD_SMALL + ["--threads", "0"],
+    UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "0"],
+    ["bound-check", "--which", "differential", "--expr", "x^(1/2)",
+     "--samples", "10,abc"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_invalid_flags_exit_2(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
+# A sample clustered near 0 (D* = 0.99): with every harmonic zeroed, the
+# Erdos-Turan bound falls to 4/Q and the gate must fail.
+CLUSTERED = ["ud-test", "--expr", "1/100000*x", "--domain", "integers",
+             "--N", "1000"]
+
+
+def _zero_moduli(points, Q):
+    return [(q, 0.0) for q in range(1, Q + 1)]
+
+
+def test_failed_gate_exits_3(monkeypatch, tmp_path):
+    monkeypatch.setattr("primeud.discrepancy.weyl_moduli", _zero_moduli)
+    assert run_cli(*CLUSTERED, "--out", str(tmp_path / "g.json")) == 3
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_failed_gate_exits_3_under_optimize(tmp_path):
+    script = (
+        "import sys\n"
+        "import primeud.discrepancy as d\n"
+        "from primeud.cli import main\n"
+        "d.weyl_moduli = lambda points, Q: [(q, 0.0) for q in range(1, Q + 1)]\n"
+        f"sys.exit(main({CLUSTERED + ['--out', str(tmp_path / 'g.json')]!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "assertion failure" in proc.stderr

@@ -177,6 +177,33 @@ def test_report_et_bound_dominates_star(table100k, rng):
         assert rep.N == 2_000
 
 
+@pytest.mark.parametrize("et_Q,weyl_q_max", [(50, 10), (5, 12)])
+def test_report_computes_harmonics_once(monkeypatch, table100k, et_Q, weyl_q_max):
+    import primeud.discrepancy as disc
+
+    calls, used = [], []
+    real_moduli, real_et = disc.weyl_moduli, disc.erdos_turan_bound
+
+    def spy_moduli(points, Q):
+        calls.append(Q)
+        return real_moduli(points, Q)
+
+    def spy_et(points, Q, **kw):
+        used.append(kw["harmonics"])
+        return real_et(points, Q, **kw)
+
+    monkeypatch.setattr(disc, "weyl_moduli", spy_moduli)
+    monkeypatch.setattr(disc, "erdos_turan_bound", spy_et)
+    sample = fractional_parts(parse_expr("x^(3/2)"), 1, "primes", 3_000, table100k)
+    rep = disc.report_from_points(sample, et_Q=et_Q, weyl_q_max=weyl_q_max)
+    assert calls == [max(et_Q, weyl_q_max)]
+    assert len(used[0]) == et_Q
+    assert rep.weyl_moduli == tuple(real_moduli(sample.points, weyl_q_max))
+    shared = min(et_Q, weyl_q_max)
+    assert rep.weyl_moduli[:shared] == tuple(used[0][:shared])
+    assert rep.et_bound == real_et(sample.points, et_Q).bound
+
+
 def test_report_carries_extreme_or_sandwich(table100k):
     rep = equidistribution_report(parse_expr("x^(1/2)"), 1, "primes", 500,
                                   table100k, with_extreme=True)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from primeud.expsums import (
     erdos_turan_bound,
     kusmin_landau_check,
     vdc_inequality_check,
+    weyl_moduli,
     weyl_sum_integers,
     weyl_sum_primes,
 )
@@ -209,6 +211,32 @@ def test_composite_bound_rejects_bad_interval():
 
 
 # -- harmonic discrepancy bound ---------------------------------------------------------
+
+
+def moduli_oracle(points, Q):
+    """|sum_j e(q x_j)| / N for q = 1..Q at 30 digits; 2 q x_j is exact."""
+    with mpmath.workdps(30):
+        xs = [mpmath.mpf(float(x)) for x in points]
+        return np.array([
+            float(abs(mpmath.fsum(mpmath.expjpi(2 * q * x) for x in xs)) / len(xs))
+            for q in range(1, Q + 1)
+        ])
+
+
+@pytest.mark.parametrize("Q", [50, 200])
+@pytest.mark.parametrize("kind", ["random", "grid", "edges", "constant"])
+def test_weyl_moduli_against_mpmath(Q, kind):
+    N = 64
+    points = {
+        "random": np.random.default_rng(Q).random(N),
+        "grid": np.arange(N) / N,
+        "edges": np.array([0.0, 1.0 - 2.0**-53]),
+        "constant": np.full(N, 0.7310585786300049),
+    }[kind]
+    got = weyl_moduli(points, Q)
+    assert [q for q, _ in got] == list(range(1, Q + 1))
+    err = np.abs(np.array([m for _, m in got]) - moduli_oracle(points, Q))
+    assert np.all(err <= np.arange(1, Q + 1) * 1e-15)
 
 
 def test_erdos_turan_all_zeros():
