@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import CONTROL_CORPUS
+from .ddarith import frac_nearest
 from .discrepancy import equidistribution_report
 from .errors import GateError
 from .ergodic import (
@@ -40,6 +41,7 @@ from .ergodic import (
 from .expsums import (
     DEFAULT_CHUNK,
     composite_bound_eval,
+    e,
     erdos_turan_bound,
     kusmin_landau_check,
     vdc_inequality_check,
@@ -55,7 +57,11 @@ from .flatcfg import (
     parse_floats,
     parse_fraction,
 )
-from .hardy import ExprDomainError, verify_differential_inequalities
+from .hardy import (
+    ExprDomainError,
+    _evaluate_chunks,
+    verify_differential_inequalities,
+)
 from .literals import ExprSyntaxError, parse_expr
 from .primes import load_prime_cache, save_prime_cache, sieve, vaughan_decompose
 
@@ -259,14 +265,11 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
     X, u, v = p["X"], p["u"], p["v"]
     if p["phase"] is not None:
         phase = _parse_expr_arg(p["phase"])
-        from .hardy import evaluate_array
-        from .ddarith import frac_nearest
 
         def g(ns):
-            vals = evaluate_array(phase, ns.astype(np.float64), "compensated")
-            r = frac_nearest(vals)
-            w = 2.0 * np.pi * r
-            return np.cos(w) + 1j * np.sin(w)
+            return np.concatenate(_evaluate_chunks(
+                phase, ns, lambda v: e(frac_nearest(v)),
+                chunk_size=config.chunk, threads=config.threads))
     else:
         rng = np.random.default_rng(config.seed)
         tbl = np.exp(2j * np.pi * rng.random(X + 1))

@@ -288,17 +288,3 @@ def frac_nearest(x: DD) -> np.ndarray:
     """
     near = np.rint(x.hi)
     return (x - near).to_float()
-
-
-def dd_sum(values: np.ndarray) -> float:
-    """Compensated (Neumaier) sum of a 1-d float array, returned as float."""
-    s = 0.0
-    c = 0.0
-    for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s + c

@@ -10,7 +10,6 @@ exactly and is capped at N <= 10^4, beyond which reports carry the
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .expsums import (
     weyl_moduli,
 )
 from .errors import GateError
-from .hardy import BOUNDARY_TOL, HardyExpr, evaluate_array
+from .hardy import BOUNDARY_TOL, HardyExpr, _evaluate_chunks
 from .ddarith import frac_unit
 from .primes import PrimeTable
 
@@ -118,25 +117,20 @@ def fractional_parts(expr: HardyExpr, q: int, domain: str, N: int,
                      threads: int = 1) -> PointSample:
     """First N values {q * expr(n)} over the chosen index domain, evaluated
     in compensated precision with near-integer boundary events logged."""
+    if q == 0:
+        raise ValueError("q must be nonzero")
     if N < 1:
         raise ValueError("N must be >= 1")
     ns = _domain_indices(domain, N, table, modulus, residue)
     _check_magnitude(expr, q, float(ns[-1]))
-
-    def work(chunk: np.ndarray):
-        if expr.is_zero:
-            return np.zeros(len(chunk)), 0
-        vals = evaluate_array(expr, chunk.astype(np.float64), "compensated")
-        return frac_unit(vals * float(q), BOUNDARY_TOL)
-
-    chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, chunks))
+    if expr.is_zero:
+        pts, events = np.zeros(len(ns)), 0
     else:
-        parts = [work(c) for c in chunks]
-    pts = np.concatenate([p for p, _ in parts])
-    events = sum(ev for _, ev in parts)
+        parts = _evaluate_chunks(
+            expr, ns, lambda v: frac_unit(v * float(q), BOUNDARY_TOL),
+            chunk_size=chunk_size, threads=threads)
+        pts = np.concatenate([p for p, _ in parts])
+        events = sum(ev for _, ev in parts)
     source = {"expr": str(expr), "q": q, "domain": domain, "N": N}
     if domain == "primes_in_ap":
         source.update({"modulus": modulus, "residue": residue})

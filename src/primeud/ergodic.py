@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .ddarith import floor_with_boundary
-from .hardy import BOUNDARY_TOL, HardyExpr, evaluate_array
+from .hardy import BOUNDARY_TOL, HardyExpr, _evaluate_chunks
 from .primes import PrimeTable
 
 
@@ -72,10 +72,9 @@ def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
             cols.append(acc.copy())
     events = 0
     for expr in spec.exprs:
-        vals = evaluate_array(expr, ps.astype(np.float64), "compensated")
-        fl, ev = floor_with_boundary(vals, tol)
-        events += ev
-        cols.append(fl)
+        parts = _evaluate_chunks(expr, ps, lambda v: floor_with_boundary(v, tol))
+        events += sum(ev for _, ev in parts)
+        cols.append(np.concatenate([fl for fl, _ in parts]))
     d = np.stack(cols, axis=1)
     if spec.L is not None:
         L = np.asarray(spec.L, dtype=np.int64)

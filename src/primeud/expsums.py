@@ -4,17 +4,16 @@ Kusmin-Landau, the iterated k-th-derivative bound, Erdos-Turan).
 
 Phases are reduced mod 1 in compensated arithmetic before the circular
 exponential is called, so sin/cos never see the raw magnitude of the phase.
-Sums run as a map over absolute-index-aligned chunks with an ordered,
-compensated reduction: results are bit-deterministic for a given chunk
-size, independent of thread count.
+Sums run through ``hardy._evaluate_chunks`` and add the per-chunk sums in
+chunk order in double-double: an integer range is chunked at absolute
+multiples of the chunk size, a prime list by position in the list.  A sum is
+bit-deterministic for a given chunk size, whatever the thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -23,15 +22,15 @@ from .ddarith import DD, frac_nearest
 from .errors import GateError
 from .hardy import (
     COMPENSATED_LIMIT,
+    DEFAULT_CHUNK,
     HardyExpr,
+    _evaluate_chunks,
     evaluate_array,
     differentiate,
     magnitude_bound,
     nth_derivative,
 )
 from .primes import PrimeTable
-
-DEFAULT_CHUNK = 16384
 
 # Safe published explicit constants; the asymptotic statements hide theirs.
 KUSMIN_LANDAU_FORM = "2/(pi*lambda) + 1"
@@ -82,7 +81,7 @@ class BoundReport:
     def to_json(self) -> dict:
         return {
             "op": self.op,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
+            "params": dict(self.params),
             "actual": self.actual,
             "bound": self.bound,
             "ratio": self.ratio,
@@ -95,18 +94,6 @@ class BoundReport:
         }
 
 
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
-
 def _make_bound_report(op, actual, bound, **kw) -> BoundReport:
     actual, bound = float(actual), float(bound)
     holds = actual <= bound * (1.0 + 1e-12) + 1e-12
@@ -116,21 +103,12 @@ def _make_bound_report(op, actual, bound, **kw) -> BoundReport:
 # -- chunked compensated summation ------------------------------------------------
 
 
-def _chunk_ranges(a: int, b: int, chunk: int):
-    """Split [a, b] into chunks aligned to absolute multiples of chunk."""
-    n = a
-    while n <= b:
-        hi = min(((n // chunk) + 1) * chunk - 1, b)
-        yield (n, hi)
-        n = hi + 1
-
-
-def _phase_points(expr: HardyExpr, q: int, ns: np.ndarray) -> np.ndarray:
-    """Reduced phase q*expr(n) mod 1 (nearest-integer form, in [-0.5, 0.5])."""
-    if expr.is_zero:
-        return np.zeros(len(ns))
-    vals = evaluate_array(expr, ns.astype(np.float64), "compensated")
-    return frac_nearest(vals * float(q))
+def _circle_sums(q: int):
+    """Per-chunk reduce: (sum cos, sum sin) of 2 pi (q * phase mod 1)."""
+    def reduce(vals) -> tuple[float, float]:
+        w = 2.0 * np.pi * frac_nearest(vals * float(q))
+        return (float(np.sum(np.cos(w))), float(np.sum(np.sin(w))))
+    return reduce
 
 
 def _reduce_ordered(parts: list[tuple[float, float]]) -> complex:
@@ -140,21 +118,6 @@ def _reduce_ordered(parts: list[tuple[float, float]]) -> complex:
         re = re + r
         im = im + i
     return complex(float(re), float(im))
-
-
-def _exp_sum_over(expr: HardyExpr, q: int, chunks: list[np.ndarray],
-                  threads: int = 1) -> complex:
-    def work(ns: np.ndarray) -> tuple[float, float]:
-        r = _phase_points(expr, q, ns)
-        w = 2.0 * np.pi * r
-        return (float(np.sum(np.cos(w))), float(np.sum(np.sin(w))))
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, chunks))
-    else:
-        parts = [work(c) for c in chunks]
-    return _reduce_ordered(parts)
 
 
 def _check_magnitude(expr: HardyExpr, q: int, x_max: float) -> None:
@@ -178,10 +141,10 @@ def weyl_sum_integers(phase: HardyExpr, q: int, a: int, b: int, *,
     if not (b >= a >= lo):
         raise ValueError(f"need b >= a >= {lo} for this phase")
     _check_magnitude(phase, q, float(b))
-    chunks = [np.arange(c0, c1 + 1, dtype=np.int64)
-              for c0, c1 in _chunk_ranges(a, b, chunk_size)]
-    total = _exp_sum_over(phase, q, chunks, threads)
-    return ExpSumResult.make(total, b - a + 1)
+    parts = _evaluate_chunks(phase, np.arange(a, b + 1, dtype=np.int64),
+                             _circle_sums(q), chunk_size=chunk_size,
+                             threads=threads, first=a)
+    return ExpSumResult.make(_reduce_ordered(parts), b - a + 1)
 
 
 def weyl_sum_primes(phase: HardyExpr, q: int, X: int, table: PrimeTable, *,
@@ -199,11 +162,9 @@ def weyl_sum_primes(phase: HardyExpr, q: int, X: int, table: PrimeTable, *,
     if X0 is not None:
         lo = int(np.searchsorted(table.primes, X0, side="right"))
     ps = table.primes[lo:hi]
-    chunks = [ps[i : i + chunk_size] for i in range(0, len(ps), chunk_size)]
-    if not chunks:
-        return ExpSumResult.make(0j, 0)
-    total = _exp_sum_over(phase, q, chunks, threads)
-    return ExpSumResult.make(total, len(ps))
+    parts = _evaluate_chunks(phase, ps, _circle_sums(q),
+                             chunk_size=chunk_size, threads=threads)
+    return ExpSumResult.make(_reduce_ordered(parts), len(ps))
 
 
 # -- bound evaluators ---------------------------------------------------------------

@@ -16,6 +16,7 @@ coefficients stay exact and rationality queries stay decidable.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -31,13 +32,12 @@ RATIONAL_UNIT = ""
 # BOUNDARY_TOL of an integer m floor to m (deterministic, auditable).
 BOUNDARY_TOL = 1e-9
 
-# Above this magnitude a plain double starts losing fractional-part bits
-# fast; callers predicting larger values must use compensated evaluation.
-COMPENSATION_THRESHOLD = float(2**45)
-
 # Beyond this magnitude even a double-double cannot hold the fractional
 # part to useful accuracy.
 COMPENSATED_LIMIT = float(2**90)
+
+# Points per chunk of a compensated phase evaluation (see _evaluate_chunks).
+DEFAULT_CHUNK = 16384
 
 
 class ExprDomainError(ValueError):
@@ -348,6 +348,31 @@ def evaluate_array(expr: HardyExpr, xs, precision: str = "compensated"):
     if not np.all(np.isfinite(total.hi)):
         raise OverflowError("non-finite intermediate value")
     return total
+
+
+def _evaluate_chunks(expr: HardyExpr, ns, reduce, *,
+                     chunk_size: int = DEFAULT_CHUNK, threads: int = 1,
+                     first: int = 0) -> list:
+    """reduce(compensated expr values) for each chunk of ns, in chunk order.
+
+    ns is cut before every position i at which the absolute index first + i
+    is a multiple of chunk_size; an empty ns is one empty chunk.  The chunks,
+    and so the arrays reduce sees, depend on chunk_size and first only: a
+    thread pool runs them when threads > 1 and there is more than one, and
+    the results come back in the same order either way.
+    """
+    ns = np.asarray(ns)
+    chunks = np.split(ns, range(chunk_size - first % chunk_size, len(ns),
+                                chunk_size))
+
+    def work(chunk):
+        return reduce(evaluate_array(expr, chunk.astype(np.float64),
+                                     "compensated"))
+
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, chunks))
+    return [work(c) for c in chunks]
 
 
 def evaluate(expr: HardyExpr, x: float, precision: str = "standard"):

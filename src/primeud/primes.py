@@ -74,12 +74,10 @@ def _sieve_segment(low: int, high: int, base: np.ndarray) -> np.ndarray:
 
 
 def sieve(limit: int, segment_size: int = DEFAULT_SEGMENT,
-          max_limit: int = MAX_SIEVE_LIMIT, threads: int = 1) -> PrimeTable:
+          max_limit: int = MAX_SIEVE_LIMIT) -> PrimeTable:
     """All primes <= limit via an odd-only segmented sieve.
 
-    Segments cover disjoint ranges and are concatenated in ascending order,
-    so the result is deterministic whether they run sequentially or on a
-    thread pool.
+    Segments cover disjoint ranges and are concatenated in ascending order.
     """
     if not (2 <= limit <= max_limit):
         raise ValueError(f"limit must be in [2, {max_limit}]")
@@ -92,14 +90,8 @@ def sieve(limit: int, segment_size: int = DEFAULT_SEGMENT,
         ranges.append((low, high))
         low = high if high % 2 == 1 else high + 1
     chunks = [np.array([2], dtype=np.int64)]
-    if threads > 1 and len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks += list(pool.map(lambda r: _sieve_segment(*r, base), ranges))
-    else:
-        chunks += [_sieve_segment(lo, hi, base) for lo, hi in ranges]
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    chunks += [_sieve_segment(lo, hi, base) for lo, hi in ranges]
+    primes = np.concatenate(chunks)
     checkpoints: dict[int, int] = {}
     x = 10
     while x <= limit:

@@ -291,19 +291,28 @@ def test_config_hash_stable_across_runs(tmp_path):
 UD_SMALL = ["ud-test", "--expr", "x^(1/2)", "--N", "100", "--table-limit", "10000"]
 
 
-@pytest.mark.parametrize("argv", [
-    UD_SMALL + ["--checkpoints", "10,abc"],
-    UD_SMALL + ["--checkpoints", "10,0"],
-    UD_SMALL + ["--chunk", "0"],
-    UD_SMALL + ["--chunk", "-5"],
-    UD_SMALL + ["--threads", "0"],
-    UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "0"],
-    ["bound-check", "--which", "differential", "--expr", "x^(1/2)",
-     "--samples", "10,abc"],
-], ids=lambda argv: " ".join(argv[-2:]))
-def test_invalid_flags_exit_2(argv, capsys):
+def _case(argv, message=None):
+    """argv is rejected with exit 2; the message defaults to argparse's
+    complaint about the flag before the last argument."""
+    return pytest.param(argv, message or f"argument {argv[-2]}:",
+                        id=" ".join(argv[-2:]))
+
+
+@pytest.mark.parametrize("argv, message", [
+    _case(UD_SMALL + ["--checkpoints", "10,abc"]),
+    _case(UD_SMALL + ["--checkpoints", "10,0"]),
+    _case(UD_SMALL + ["--chunk", "0"]),
+    _case(UD_SMALL + ["--chunk", "-5"]),
+    _case(UD_SMALL + ["--threads", "0"]),
+    _case(UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "0"]),
+    _case(["bound-check", "--which", "differential", "--expr", "x^(1/2)",
+           "--samples", "10,abc"]),
+    _case(["ud-test", "--expr", "x^(1/2)", "--N", "10", "--table-limit", "1000",
+           "--q", "0"], "q must be nonzero"),
+])
+def test_invalid_flags_exit_2(argv, message, capsys):
     assert run_cli(*argv) == 2
-    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 # A sample clustered near 0 (D* = 0.99): with every harmonic zeroed, the

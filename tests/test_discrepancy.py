@@ -155,6 +155,17 @@ def test_fractional_parts_decreasing_star(table2m):
     assert stars[100_000] < stars[1_000] / 2.0
 
 
+def test_fractional_parts_independent_of_chunks_and_threads(table2m):
+    expr = parse_expr("x^(1/2) + log^2")
+    ref = fractional_parts(expr, 1, "primes", 40_000, table2m, chunk_size=1000)
+    for chunk_size in (1000, 16384):
+        for threads in (1, 2):
+            s = fractional_parts(expr, 1, "primes", 40_000, table2m,
+                                 chunk_size=chunk_size, threads=threads)
+            assert np.array_equal(s.points, ref.points)
+            assert s.boundary_events == ref.boundary_events
+
+
 def test_fractional_parts_needs_table():
     with pytest.raises(ValueError):
         fractional_parts(parse_expr("x"), 1, "primes", 10, None)

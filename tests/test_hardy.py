@@ -13,6 +13,7 @@ from primeud.hardy import (
     ExprDomainError,
     HardyExpr,
     Term,
+    _evaluate_chunks,
     boshernitzan_condition,
     classify_growth,
     differentiate,
@@ -421,3 +422,33 @@ def test_nth_derivative_matches_repeated():
     expr = parse_expr("x^(5/2) + x*log")
     d3 = nth_derivative(expr, 3)
     assert d3 == differentiate(differentiate(differentiate(expr)))
+
+
+def _chunk_lengths(ns, **kw):
+    return _evaluate_chunks(parse_expr("x^(3/2)"), ns, lambda v: len(v.hi), **kw)
+
+
+def test_evaluate_chunks_cut_at_absolute_multiples():
+    ns = np.arange(777, 3001)
+    assert _chunk_lengths(ns, chunk_size=1000, first=777) == [223, 1000, 1000, 1]
+    assert _chunk_lengths(ns[223:], chunk_size=1000, first=1000) == [1000, 1000, 1]
+    assert _chunk_lengths(ns, chunk_size=1000) == [1000, 1000, 224]
+    assert _chunk_lengths(ns[:5], chunk_size=1000, first=777) == [5]
+    assert _chunk_lengths(ns[:0]) == [0]
+
+
+def test_evaluate_chunks_values_and_threads():
+    expr = parse_expr("x^(1/2) + log^2")
+    ns = np.arange(5, 2000)
+    whole = evaluate_array(expr, ns.astype(np.float64), "compensated")
+    parts = {
+        threads: _evaluate_chunks(expr, ns, lambda v: np.stack([v.hi, v.lo]),
+                                  chunk_size=300, threads=threads, first=5)
+        for threads in (1, 2)
+    }
+    assert len(parts[1]) == len(parts[2]) == 7
+    for a, b in zip(parts[1], parts[2]):
+        assert np.array_equal(a, b)
+    joined = np.concatenate(parts[1], axis=1)
+    assert np.array_equal(joined[0], whole.hi)
+    assert np.array_equal(joined[1], whole.lo)

@@ -45,12 +45,6 @@ def test_sieve_small_segments_agree():
     assert np.array_equal(a.primes, b.primes)
 
 
-def test_sieve_threaded_segments_deterministic():
-    a = sieve(50_000, segment_size=1000, threads=4)
-    b = sieve(50_000)
-    assert np.array_equal(a.primes, b.primes)
-
-
 def test_pi_checkpoint_invariants(table100k):
     assert table100k.pi_checkpoints[table100k.limit] == len(table100k.primes)
     oracle = len(_trial_division_primes(10_000))
