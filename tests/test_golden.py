@@ -8,13 +8,16 @@ for a change whose numbers are meant to move, and say so where the change
 is recorded.
 """
 
+import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from primeud.cli import CACHE_ENV, main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
 
 GOLDEN = {
     "ud_primes_checkpoints": [
@@ -53,7 +56,19 @@ GOLDEN = {
     "bound_kusmin_landau": [
         "bound-check", "--which", "kusmin-landau", "--expr", "x^(1/2)",
         "--range", "1000", "40000", "--chunk", "4096"],
+    "bound_vdc": ["bound-check", "--which", "vdc"],
+    "bound_composite": [
+        "bound-check", "--which", "composite", "--expr", "x^(3/2)",
+        "--X1", "20000", "--X", "5000"],
+    "bound_differential": [
+        "bound-check", "--which", "differential", "--expr", "x^(1/2) + log^2"],
+    "sieve": ["sieve", "--limit", "100000"],
+    "corpus_run": ["corpus-run", "--N", "3000", "--table-limit", "200000"],
 }
+
+# Exit codes other than 0: at N = 3000 some corpus controls miss their
+# criterion, so the run records the failure and exits 3.
+EXPECTED_EXIT = {"corpus_run": 3}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -61,5 +76,18 @@ def test_artifact_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.chdir(GOLDEN_DIR)
     out = tmp_path / f"{name}.json"
-    assert main(GOLDEN[name] + ["--out", str(out)]) == 0
+    assert main(GOLDEN[name] + ["--out", str(out)]) == EXPECTED_EXIT.get(name, 0)
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+# Every bound check but `differential` (a table of ratio rows, not one
+# bound) reports one bound-vs-actual result.
+BOUND_GOLDENS = sorted(n for n in GOLDEN if n.startswith("bound_")
+                       and n != "bound_differential")
+
+
+@pytest.mark.parametrize("name", BOUND_GOLDENS)
+def test_bound_check_results_match_schema(name):
+    schema = json.loads((SCHEMAS / "bound_report.schema.json").read_text())
+    blob = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    jsonschema.validate(blob["results"], schema)
