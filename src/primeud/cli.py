@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .corpus import CONTROL_CORPUS
 from .ddarith import frac_nearest
-from .discrepancy import equidistribution_report
+from .discrepancy import equidistribution_report, fractional_parts
 from .errors import GateError
 from .ergodic import (
     Box,
@@ -60,6 +60,7 @@ from .flatcfg import (
 from .hardy import (
     ExprDomainError,
     _evaluate_chunks,
+    boshernitzan_condition,
     verify_differential_inequalities,
 )
 from .literals import ExprSyntaxError, parse_expr
@@ -88,16 +89,11 @@ class RunConfig:
     table_limit: int = 2_000_000
 
     def effective(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": _jsonable(self.parameters),
-            "seed": self.seed,
-            "format": self.fmt,
-            "threads": self.threads,
-            "chunk": self.chunk,
-            "table_limit": self.table_limit,
-            "version": __version__,
-        }
+        """Every field but the output path (``fmt`` as ``format``), and the version."""
+        eff = _jsonable(self)
+        del eff["output"]
+        eff["format"] = eff.pop("fmt")
+        return {**eff, "version": __version__}
 
     def digest(self) -> str:
         blob = json.dumps(self.effective(), sort_keys=True).encode()
@@ -105,6 +101,11 @@ class RunConfig:
 
 
 def _jsonable(v):
+    """The one conversion of a result to JSON values: a dataclass instance
+    becomes a dict of its fields, complex numbers [re, im], fractions
+    strings, numpy scalars and arrays Python numbers and lists."""
+    if is_dataclass(v) and not isinstance(v, type):
+        return {f.name: _jsonable(getattr(v, f.name)) for f in fields(v)}
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -122,13 +123,17 @@ def _jsonable(v):
     return v
 
 
-def _emit(config: RunConfig, results: dict, csv_rows=None, csv_header=None,
-          plot_rows=None) -> None:
-    """Write the artifact in the selected format (or pretty-print to stdout)."""
+def _emit(config: RunConfig, results, csv_rows=None, csv_header=None,
+          plot_rows=None, **extra) -> None:
+    """Write the artifact in the selected format (or pretty-print to stdout).
+
+    `results` is a result dataclass or a dict; the artifact's ``results``
+    are its fields (or items) plus the keys of `extra`.
+    """
     payload = {
         "config": config.effective(),
         "config_hash": config.digest(),
-        "results": _jsonable(results),
+        "results": {**_jsonable(results), **_jsonable(extra)},
     }
     if config.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -166,11 +171,25 @@ def _flatten(d: dict, prefix: str = "") -> dict:
     return out
 
 
-def _get_table(config: RunConfig, parameters: dict):
-    cache = parameters.get("cache")
+def _cache_path(config: RunConfig) -> str | None:
+    """--cache, else primes_<table limit>.bin under $PRIMEUD_CACHE_DIR."""
+    cache = config.parameters.get("cache")
+    if cache is None and os.environ.get(CACHE_ENV):
+        cache = os.path.join(os.environ[CACHE_ENV], f"primes_{config.table_limit}.bin")
+    return cache
+
+
+def _get_table(config: RunConfig):
+    """The prime table up to the run's limit: a cache of exactly that limit,
+    else a fresh sieve that (re)writes the cache.  A cache that fails to
+    load is rebuilt, never trusted."""
+    cache = _cache_path(config)
     if cache and os.path.exists(cache):
-        table = load_prime_cache(cache)
-        if table.limit >= config.table_limit:
+        try:
+            table = load_prime_cache(cache)
+        except ValueError:
+            table = None
+        if table is not None and table.limit == config.table_limit:
             return table
     table = sieve(config.table_limit)
     if cache:
@@ -189,18 +208,18 @@ def _parse_expr_arg(text: str):
 
 
 def _cmd_sieve(config: RunConfig) -> int:
-    p = config.parameters
     table = sieve(config.table_limit)
-    if p.get("cache"):
-        save_prime_cache(table, p["cache"])
+    cache = _cache_path(config)
+    if cache:
+        save_prime_cache(table, cache)
+    rows = sorted(table.pi_checkpoints.items())
     results = {
         "limit": table.limit,
         "count": len(table.primes),
-        "pi_checkpoints": {str(k): v for k, v in sorted(table.pi_checkpoints.items())},
+        "pi_checkpoints": {str(k): v for k, v in rows},
         "largest": int(table.primes[-1]),
-        "cache": p.get("cache"),
+        "cache": cache,
     }
-    rows = [(k, v) for k, v in sorted(table.pi_checkpoints.items())]
     _emit(config, results, csv_rows=rows, csv_header=["x", "pi"],
           plot_rows=rows)
     return EXIT_OK
@@ -215,7 +234,7 @@ def _cmd_ud_test(config: RunConfig) -> int:
         raise UsageError("checkpoints cannot exceed N")
     table = None
     if domain != "integers":
-        table = _get_table(config, p)
+        table = _get_table(config)
     reports = []
     for N in checkpoints:
         rep = equidistribution_report(
@@ -224,14 +243,13 @@ def _cmd_ud_test(config: RunConfig) -> int:
             chunk_size=config.chunk, threads=config.threads,
         )
         reports.append(rep)
-    results = {"reports": [r.to_json() for r in reports]}
     csv_rows = [
         (r.N, f"{r.star:.12g}", f"{r.et_bound:.12g}",
          f"{max(m for _, m in r.weyl_moduli):.12g}")
         for r in reports
     ]
     plot_rows = [(r.N, f"{r.star:.12g}") for r in reports]
-    _emit(config, results, csv_rows=csv_rows,
+    _emit(config, {"reports": reports}, csv_rows=csv_rows,
           csv_header=["N", "star", "et_bound", "max_weyl_q10"],
           plot_rows=plot_rows)
     return EXIT_OK
@@ -247,16 +265,11 @@ def _cmd_weyl_sum(config: RunConfig) -> int:
         res = weyl_sum_integers(phase, p["q"], a, b,
                                 chunk_size=config.chunk, threads=config.threads)
     else:
-        table = _get_table(config, p)
+        table = _get_table(config)
         X = p["X"] or config.table_limit
         res = weyl_sum_primes(phase, p["q"], X, table, X0=p["X0"],
                               chunk_size=config.chunk, threads=config.threads)
-    results = {
-        "sum": [res.sum.real, res.sum.imag],
-        "count": res.count,
-        "normalized": res.normalized,
-    }
-    _emit(config, results)
+    _emit(config, res)
     return EXIT_OK
 
 
@@ -278,18 +291,10 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
             return tbl[ns]
 
     rep = vaughan_decompose(g, X, u, v)
-    results = {
-        "X": X, "u": u, "v": v,
-        "t1": [rep.t1.real, rep.t1.imag],
-        "t2": [rep.t2.real, rep.t2.imag],
-        "t3": [rep.t3.real, rep.t3.imag],
-        "lhs": [rep.lhs.real, rep.lhs.imag],
-        "residual": rep.residual,
-        "relative_residual": rep.relative_residual,
-        "identity_holds": rep.relative_residual < 1e-9,
-    }
-    _emit(config, results)
-    return EXIT_OK if results["identity_holds"] else EXIT_ASSERTION
+    holds = rep.relative_residual < 1e-9
+    _emit(config, rep, residual=rep.residual,
+          relative_residual=rep.relative_residual, identity_holds=holds)
+    return EXIT_OK if holds else EXIT_ASSERTION
 
 
 def _cmd_bound_check(config: RunConfig) -> int:
@@ -305,50 +310,34 @@ def _cmd_bound_check(config: RunConfig) -> int:
         phase = _parse_expr_arg(p["expr"])
         rep = kusmin_landau_check(phase, p["q"], p["range"][0], p["range"][1],
                                   chunk_size=config.chunk, threads=config.threads)
-        results = rep.to_json()
     elif which == "vdc":
         rng = np.random.default_rng(config.seed)
         N = p["N"]
         vals = np.exp(2j * np.pi * rng.random(N))
         rep = vdc_inequality_check(lambda ns: vals[ns - 1], p["H"], 0, N)
-        results = rep.to_json()
         must_hold = True
     elif which == "composite":
         phase = _parse_expr_arg(p["expr"])
         rep = composite_bound_eval(phase, p["q"], p["k"], p["X1"], p["X"],
                                    chunk_size=config.chunk, threads=config.threads)
-        results = rep.to_json()
     elif which == "erdos-turan":
         expr = _parse_expr_arg(p["expr"])
-        table = _get_table(config, p)
-        from .discrepancy import fractional_parts
-
+        table = _get_table(config)
         sample = fractional_parts(expr, p["q"], "primes", p["N"], table,
                                   chunk_size=config.chunk, threads=config.threads)
         rep = erdos_turan_bound(sample.points, p["Q"])
-        results = rep.to_json()
         must_hold = True
     elif which == "differential":
         expr = _parse_expr_arg(p["expr"])
         samples = p["samples"] or [10.0**j for j in (1, 2, 3, 4, 5, 6)]
         rep = verify_differential_inequalities(expr, samples, j_max=p["j_max"])
-        results = {
-            "all_ok": rep.all_ok,
-            "flagged": len(rep.flagged),
-            "rows": [
-                {"eq": r.eq, "x": r.x, "j": r.j, "value": r.value,
-                 "lower": r.lower, "upper": r.upper, "ok": r.ok, "note": r.note}
-                for r in rep.rows
-            ],
-        }
-        _emit(config, results)
+        _emit(config, {"rows": rep.rows}, all_ok=rep.all_ok,
+              flagged=len(rep.flagged))
         return EXIT_OK if rep.all_ok else EXIT_ASSERTION
     else:
         raise UsageError(f"unknown bound check {which!r}")
-    _emit(config, results)
-    if must_hold and not results["holds"]:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    _emit(config, rep, ratio=rep.ratio)
+    return EXIT_ASSERTION if must_hold and not rep.holds else EXIT_OK
 
 
 def _build_spec(cfg: dict) -> SequenceSpec:
@@ -455,18 +444,9 @@ def _cmd_ergodic_average(config: RunConfig) -> int:
     if spec.poly_degree or spec.L is not None:
         raise UsageError("ergodic-average uses floor coordinates only")
     N = get_int(cfg, "N")
-    table = _get_table(config, config.parameters)
+    table = _get_table(config)
     res = ergodic_average(sysm, spec.exprs, N, table)
-    results = {
-        "N": N,
-        "average": [[z.real, z.imag] for z in res.average],
-        "projection": [[z.real, z.imag] for z in res.projection],
-        "deviation": res.deviation,
-        "boundary_events": res.boundary_events,
-        "table_limit": table.limit,
-        "chunk_size": config.chunk,
-    }
-    _emit(config, results)
+    _emit(config, res, N=N, table_limit=table.limit, chunk_size=config.chunk)
     return EXIT_OK
 
 
@@ -476,34 +456,21 @@ def _cmd_recurrence_scan(config: RunConfig) -> int:
     spec = _build_spec(cfg)
     N = get_int(cfg, "N")
     r = get_int(cfg, "r", 1)
-    table = _get_table(config, config.parameters)
+    table = _get_table(config)
     if kind == "torus":
         target = _build_torus(cfg)
     elif kind == "lattice":
         target = _build_lattice(cfg)
     else:
         raise UsageError("recurrence-scan expects kind = torus | lattice")
-    if r == 1:
-        if isinstance(target, TorusSystem):
-            res = torus_recurrence_average(target, spec, N, table)
-            results = {"kind": kind, "N": N, "average": res.average,
-                       "mu_sq": res.mu_sq, "margin": res.margin,
-                       "boundary_events": res.boundary_events}
-        else:
-            res = lattice_recurrence_scan(target, spec, N, table)
-            results = {"kind": kind, "N": N, "hit_density": res.hit_density,
-                       "dstar_sq": res.dstar_sq, "margin": res.margin,
-                       "hits": res.hits, "boundary_events": res.boundary_events}
-    else:
+    if r != 1:
         res = filtered_recurrence(target, r, spec, N, table)
-        results = {"kind": kind, "N": N, "r": r,
-                   "relative_density": res.relative_density,
-                   "count": res.count, "average": res.average,
-                   "reference_sq": res.reference_sq, "margin": res.margin,
-                   "valid": res.valid, "boundary_events": res.boundary_events}
-    results["table_limit"] = table.limit
-    results["chunk_size"] = config.chunk
-    _emit(config, results)
+    elif kind == "torus":
+        res = torus_recurrence_average(target, spec, N, table)
+    else:
+        res = lattice_recurrence_scan(target, spec, N, table)
+    _emit(config, res, kind=kind, margin=res.margin, table_limit=table.limit,
+          chunk_size=config.chunk)
     return EXIT_OK
 
 
@@ -512,30 +479,19 @@ def _cmd_fcplus_probe(config: RunConfig) -> int:
     sigma = _build_measure(cfg)
     spec = _build_spec(cfg)
     N = get_int(cfg, "N")
-    table = _get_table(config, config.parameters)
+    table = _get_table(config)
     res = fcplus_probe(sigma, spec, N, table)
-    results = {
-        "N": N,
-        "mass_at_zero": res.mass_at_zero,
-        "final_tail_max": res.final_tail_max,
-        "envelope": [[n, v] for n, v in res.envelope],
-        "boundary_events": res.boundary_events,
-        "table_limit": table.limit,
-        "chunk_size": config.chunk,
-    }
-    _emit(config, results)
+    _emit(config, res, table_limit=table.limit, chunk_size=config.chunk)
     return EXIT_OK
 
 
 def _cmd_corpus_run(config: RunConfig) -> int:
-    from .hardy import boshernitzan_condition
-
     p = config.parameters
     N = p["N"]
     if N < 2_000:
         raise UsageError("corpus-run needs N >= 2000 (the trend compares to N = 1000)")
     checkpoints = sorted({1000, N})
-    table = _get_table(config, p)
+    table = _get_table(config)
     rows = []
     all_pass = True
     for entry in CONTROL_CORPUS:
@@ -604,7 +560,7 @@ def _floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a list of numbers") from None
 
 
-def _add_common(sp, table=True):
+def _add_common(sp, table_limit=True, cache=True):
     sp.add_argument("--out", default=None, help="artifact path (default: stdout)")
     sp.add_argument("--format", default=None,
                     choices=["json", "csv", "plotdata"], dest="fmt",
@@ -612,8 +568,9 @@ def _add_common(sp, table=True):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=_positive_int, default=1)
     sp.add_argument("--chunk", type=_positive_int, default=DEFAULT_CHUNK)
-    if table:
+    if table_limit:
         sp.add_argument("--table-limit", type=int, default=2_000_000)
+    if cache:
         sp.add_argument("--cache", default=None,
                         help="prime cache path (default under $%s)" % CACHE_ENV)
 
@@ -628,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sieve", help="build a prime table")
     sp.add_argument("--limit", type=int, required=True)
-    _add_common(sp)
+    _add_common(sp, table_limit=False)
 
     sp = sub.add_parser("ud-test", help="discrepancy report for {q*f(n)}")
     sp.add_argument("--expr", required=True)
@@ -657,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", type=int, required=True)
     sp.add_argument("--phase", default=None,
                     help="g(n) = e(phase(n)); omit for seeded random unit g")
-    _add_common(sp, table=False)
+    _add_common(sp, table_limit=False, cache=False)
 
     sp = sub.add_parser("bound-check", help="bound-vs-actual evaluators")
     sp.add_argument("--which", required=True,
@@ -709,10 +666,6 @@ _HANDLERS = {
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     skip = {"command", "out", "fmt", "seed", "threads", "chunk", "table_limit"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
-    if params.get("cache") is None and os.environ.get(CACHE_ENV):
-        params["cache"] = os.path.join(
-            os.environ[CACHE_ENV], f"primes_{getattr(args, 'table_limit', 0)}.bin"
-        )
     out = getattr(args, "out", None)
     fmt = getattr(args, "fmt", None)
     if fmt is None:

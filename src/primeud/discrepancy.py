@@ -152,19 +152,6 @@ class DiscrepancyReport:
     extreme_lo: float | None = None  # D* <= D <= 2 D* sandwich when capped
     extreme_hi: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "star": self.star,
-            "et_bound": self.et_bound,
-            "weyl_moduli": [[q, m] for q, m in self.weyl_moduli],
-            "source": self.source,
-            "boundary_events": self.boundary_events,
-            "extreme": self.extreme,
-            "extreme_lo": self.extreme_lo,
-            "extreme_hi": self.extreme_hi,
-        }
-
 
 def report_from_points(sample: PointSample, *, et_Q: int = 50,
                        weyl_q_max: int = 10,

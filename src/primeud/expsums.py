@@ -78,21 +78,6 @@ class BoundReport:
             return math.inf if self.actual > 0 else 0.0
         return self.actual / self.bound
 
-    def to_json(self) -> dict:
-        return {
-            "op": self.op,
-            "params": dict(self.params),
-            "actual": self.actual,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "holds": self.holds,
-            "valid": self.valid,
-            "advisory": self.advisory,
-            "note": self.note,
-            "chunk_size": self.chunk_size,
-            "precision_mode": self.precision_mode,
-        }
-
 
 def _make_bound_report(op, actual, bound, **kw) -> BoundReport:
     actual, bound = float(actual), float(bound)

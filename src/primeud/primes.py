@@ -10,8 +10,9 @@ The sieve works on odd numbers in cache-sized segments so limits in the
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +28,17 @@ _CACHE_VERSION = 1
 class PrimeTable:
     limit: int
     primes: np.ndarray  # ascending int64
-    pi_checkpoints: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def pi_checkpoints(self) -> dict[int, int]:
+        """pi(x) at x = 10, 100, ... up to the limit, and at the limit."""
+        checkpoints = {}
+        x = 10
+        while x <= self.limit:
+            checkpoints[x] = self.pi(x)
+            x *= 10
+        checkpoints[self.limit] = len(self.primes)
+        return checkpoints
 
     def pi(self, x) -> int:
         """pi(x) = number of primes <= x."""
@@ -91,14 +102,7 @@ def sieve(limit: int, segment_size: int = DEFAULT_SEGMENT,
         low = high if high % 2 == 1 else high + 1
     chunks = [np.array([2], dtype=np.int64)]
     chunks += [_sieve_segment(lo, hi, base) for lo, hi in ranges]
-    primes = np.concatenate(chunks)
-    checkpoints: dict[int, int] = {}
-    x = 10
-    while x <= limit:
-        checkpoints[x] = int(np.searchsorted(primes, x, side="right"))
-        x *= 10
-    checkpoints[limit] = len(primes)
-    return PrimeTable(limit=limit, primes=primes, pi_checkpoints=checkpoints)
+    return PrimeTable(limit=limit, primes=np.concatenate(chunks))
 
 
 def primes_in_ap(table: PrimeTable, q: int, a: int, upto: int) -> int:
@@ -351,34 +355,42 @@ def partial_summation_check(a, b, X1: int, X2: int) -> PartialSummationReport:
 
 
 def save_prime_cache(table: PrimeTable, path) -> None:
-    """Little-endian u64 deltas with header (magic, version, limit, count)."""
+    """Little-endian u64 deltas with header (magic, version, limit, count).
+
+    The file is written under a temporary name and then renamed over
+    `path`, so a reader never sees a half-written cache.
+    """
     primes = table.primes
     deltas = np.empty(len(primes), dtype="<u8")
     if len(primes):
         deltas[0] = primes[0]
         deltas[1:] = np.diff(primes).astype("<u8")
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<QQQ", _CACHE_VERSION, table.limit, len(primes)))
-        f.write(deltas.tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CACHE_MAGIC)
+            f.write(struct.pack("<QQQ", _CACHE_VERSION, table.limit, len(primes)))
+            f.write(deltas.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_prime_cache(path) -> PrimeTable:
+    """Read a cache written by `save_prime_cache`; ValueError if the file is
+    not one or is shorter than its header says."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _CACHE_MAGIC:
+        header = f.read(32)
+        if header[:8] != _CACHE_MAGIC:
             raise ValueError("not a prime cache file (bad magic)")
-        version, limit, count = struct.unpack("<QQQ", f.read(24))
+        if len(header) < 32:
+            raise ValueError("truncated prime cache")
+        version, limit, count = struct.unpack_from("<QQQ", header, 8)
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported cache version {version}")
-        deltas = np.frombuffer(f.read(8 * count), dtype="<u8")
-        if deltas.size != count:
+        if 32 + 8 * count > os.path.getsize(path):  # before read() allocates it
             raise ValueError("truncated prime cache")
-    primes = np.cumsum(deltas.astype(np.int64))
-    checkpoints = {}
-    x = 10
-    while x <= limit:
-        checkpoints[x] = int(np.searchsorted(primes, x, side="right"))
-        x *= 10
-    checkpoints[int(limit)] = len(primes)
-    return PrimeTable(limit=int(limit), primes=primes, pi_checkpoints=checkpoints)
+        deltas = np.frombuffer(f.read(8 * count), dtype="<u8")
+    return PrimeTable(limit=int(limit), primes=np.cumsum(deltas, dtype=np.int64))

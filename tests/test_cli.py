@@ -8,11 +8,14 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from primeud.cli import main
+from primeud.cli import CACHE_ENV, _jsonable, main
 from primeud.corpus import CONTROL_CORPUS
+from primeud.ergodic import FcPlusResult
 from primeud.literals import format_expr, parse_expr
+from primeud.primes import save_prime_cache, sieve
 
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACT_SCHEMA = json.loads(
@@ -277,6 +280,60 @@ def test_cache_env_var_sets_default_dir(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "w2.json")) == 0
 
 
+def test_sieve_cache_named_after_limit(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    out = tmp_path / "s.json"
+    assert run_cli("sieve", "--limit", "3000", "--out", str(out)) == 0
+    cache = tmp_path / "primes_3000.bin"
+    assert cache.exists()
+    blob = load_artifact(out)
+    assert blob["results"]["cache"] == str(cache)
+    # only an explicit --cache is part of the config
+    assert blob["config"]["parameters"]["cache"] is None
+
+
+TORUS_CFG = str(ROOT / "tests" / "golden" / "torus.cfg")  # table_limit = 10^6
+
+
+def test_mismatched_cache_leaves_artifact_unchanged(tmp_path, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    plain = tmp_path / "plain.json"
+    assert run_cli("recurrence-scan", "--config", TORUS_CFG, "--out", str(plain)) == 0
+    # A larger table under both the --table-limit name and the config's name.
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    bigger = sieve(1_100_000)
+    for limit in (1_000_000, 2_000_000):
+        save_prime_cache(bigger, cache_dir / f"primes_{limit}.bin")
+    monkeypatch.setenv(CACHE_ENV, str(cache_dir))
+    cached = tmp_path / "cached.json"
+    assert run_cli("recurrence-scan", "--config", TORUS_CFG, "--out", str(cached)) == 0
+    assert cached.read_bytes() == plain.read_bytes()
+    assert load_artifact(cached)["results"]["table_limit"] == 1_000_000
+
+
+def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    argv = ["weyl-sum", "--expr", "x^(1/2)", "--X", "10000", "--table-limit", "10000"]
+    assert run_cli(*argv, "--out", str(tmp_path / "w1.json")) == 0
+    cache = tmp_path / "primes_10000.bin"
+    whole = cache.read_bytes()
+    cache.write_bytes(whole[:500])
+    assert run_cli(*argv, "--out", str(tmp_path / "w2.json")) == 0
+    assert cache.read_bytes() == whole
+    assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w2.json").read_bytes()
+
+
+def test_jsonable_expands_dataclass_instances():
+    res = FcPlusResult(mass_at_zero=np.float64(0.5), final_tail_max=0.25,
+                       envelope=((1, 1.0), (10, 0.5)), N=10)
+    assert _jsonable({"r": [res], "z": 1 + 2j, "a": np.arange(2)}) == {
+        "r": [{"mass_at_zero": 0.5, "final_tail_max": 0.25,
+               "envelope": [[1, 1.0], [10, 0.5]], "N": 10, "boundary_events": 0}],
+        "z": [1.0, 2.0], "a": [0, 1]}
+    assert _jsonable(FcPlusResult) is FcPlusResult  # a class is not a result
+
+
 def test_config_hash_stable_across_runs(tmp_path):
     out1 = tmp_path / "h1.json"
     out2 = tmp_path / "h2.json"
@@ -309,6 +366,8 @@ def _case(argv, message=None):
            "--samples", "10,abc"]),
     _case(["ud-test", "--expr", "x^(1/2)", "--N", "10", "--table-limit", "1000",
            "--q", "0"], "q must be nonzero"),
+    _case(["sieve", "--limit", "100", "--table-limit", "5"],
+          "unrecognized arguments: --table-limit 5"),
 ])
 def test_invalid_flags_exit_2(argv, message, capsys):
     assert run_cli(*argv) == 2

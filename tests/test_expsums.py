@@ -1,11 +1,14 @@
 """Exponential sums and the bound-vs-actual evaluators."""
 
+import dataclasses
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from primeud.cli import _jsonable
 from primeud.expsums import (
     ExpSumResult,
     composite_bound_eval,
@@ -278,9 +281,9 @@ def test_erdos_turan_randomized(rng):
 
 def test_bound_report_serialization():
     rep = erdos_turan_bound(np.zeros(5), 2)
-    blob = rep.to_json()
-    assert set(blob) >= {"op", "params", "actual", "bound", "ratio", "holds",
-                         "chunk_size", "precision_mode"}
+    blob = _jsonable(rep)
+    assert set(blob) == {f.name for f in dataclasses.fields(rep)}
+    assert json.loads(json.dumps(blob)) == blob
 
 
 def test_exp_sum_result_asserts_triangle():

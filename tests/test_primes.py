@@ -1,6 +1,7 @@
 """Sieve, arithmetic tables, and the exact summation identities."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -257,3 +258,34 @@ def test_prime_cache_rejects_garbage(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 24)
     with pytest.raises(ValueError):
         load_prime_cache(path)
+
+
+@pytest.mark.parametrize("keep", [12, 500, -1])
+def test_prime_cache_rejects_truncated(tmp_path, table100k, keep):
+    path = tmp_path / "primes.bin"
+    save_prime_cache(table100k, path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="truncated"):
+        load_prime_cache(path)
+
+
+def test_prime_cache_rejects_huge_count(tmp_path):
+    path = tmp_path / "forged.bin"
+    path.write_bytes(b"UDPRIMES" + struct.pack("<QQQ", 1, 10_000, 2**40))
+    with pytest.raises(ValueError, match="truncated"):
+        load_prime_cache(path)
+
+
+def test_prime_cache_write_replaces_whole_file(tmp_path, table100k, monkeypatch):
+    path = tmp_path / "primes.bin"
+    save_prime_cache(sieve(1000), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("primeud.primes.os.replace", fail)
+    with pytest.raises(OSError):
+        save_prime_cache(table100k, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["primes.bin"]
