@@ -59,6 +59,7 @@ from .flatcfg import (
 )
 from .hardy import (
     ExprDomainError,
+    _check_magnitude,
     _evaluate_chunks,
     boshernitzan_condition,
     verify_differential_inequalities,
@@ -278,6 +279,7 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
     X, u, v = p["X"], p["u"], p["v"]
     if p["phase"] is not None:
         phase = _parse_expr_arg(p["phase"])
+        _check_magnitude(phase, float(X))
 
         def g(ns):
             return np.concatenate(_evaluate_chunks(
@@ -560,17 +562,21 @@ def _floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a list of numbers") from None
 
 
-def _add_common(sp, table_limit=True, cache=True):
+def _add_common(sp, *groups):
+    """--out and --format, plus the flags of each named group: "seed",
+    "chunks" (--threads, --chunk), "table" (--table-limit) and "cache"."""
     sp.add_argument("--out", default=None, help="artifact path (default: stdout)")
     sp.add_argument("--format", default=None,
                     choices=["json", "csv", "plotdata"], dest="fmt",
                     help="default: inferred from --out extension, else json")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_positive_int, default=1)
-    sp.add_argument("--chunk", type=_positive_int, default=DEFAULT_CHUNK)
-    if table_limit:
+    if "seed" in groups:
+        sp.add_argument("--seed", type=int, default=0)
+    if "chunks" in groups:
+        sp.add_argument("--threads", type=_positive_int, default=1)
+        sp.add_argument("--chunk", type=_positive_int, default=DEFAULT_CHUNK)
+    if "table" in groups:
         sp.add_argument("--table-limit", type=int, default=2_000_000)
-    if cache:
+    if "cache" in groups:
         sp.add_argument("--cache", default=None,
                         help="prime cache path (default under $%s)" % CACHE_ENV)
 
@@ -585,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sieve", help="build a prime table")
     sp.add_argument("--limit", type=int, required=True)
-    _add_common(sp, table_limit=False)
+    _add_common(sp, "cache")
 
     sp = sub.add_parser("ud-test", help="discrepancy report for {q*f(n)}")
     sp.add_argument("--expr", required=True)
@@ -597,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--checkpoints", type=_positive_ints, default=None,
                     help="comma-separated N checkpoints (default: just N)")
-    _add_common(sp)
+    _add_common(sp, "chunks", "table", "cache")
 
     sp = sub.add_parser("weyl-sum", help="exponential sum over a range or primes")
     sp.add_argument("--expr", required=True)
@@ -606,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--range", type=int, nargs=2, default=None, metavar=("A", "B"))
     sp.add_argument("--X", type=int, default=None)
     sp.add_argument("--X0", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, "chunks", "table", "cache")
 
     sp = sub.add_parser("vaughan-check", help="bilinear decomposition identity")
     sp.add_argument("--X", type=int, required=True)
@@ -614,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", type=int, required=True)
     sp.add_argument("--phase", default=None,
                     help="g(n) = e(phase(n)); omit for seeded random unit g")
-    _add_common(sp, table_limit=False, cache=False)
+    _add_common(sp, "seed", "chunks")
 
     sp = sub.add_parser("bound-check", help="bound-vs-actual evaluators")
     sp.add_argument("--which", required=True,
@@ -632,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j-max", type=int, default=2, dest="j_max")
     sp.add_argument("--samples", type=_floats, default=None,
                     help="comma-separated x samples for --which differential")
-    _add_common(sp)
+    _add_common(sp, "seed", "chunks", "table", "cache")
 
     for name, help_ in [
         ("ergodic-average", "mean average of a diagonal-unitary system"),
@@ -642,11 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True,
                         help="flat key-value experiment config")
-        _add_common(sp)
+        _add_common(sp, "table", "cache")
 
     sp = sub.add_parser("corpus-run", help="positive/negative control matrix")
     sp.add_argument("--N", type=int, default=10_000)
-    _add_common(sp)
+    _add_common(sp, "chunks", "table", "cache")
     return ap
 
 

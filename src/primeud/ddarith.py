@@ -8,8 +8,10 @@ be evaluated at once.
 
 This is the precision backbone for fractional parts of large phase values:
 a plain double loses the fractional part of v once |v| grows (at 2^45 only
-7 bits of the fraction survive), while a double-double keeps the fraction
-to ~1e-16 absolute for |v| up to ~2^90.
+7 bits of the fraction survive), while a double-double keeps about
+106 - log2|v| of them.  A compensated phase evaluation is measured to err by
+about 5e-11 at 2^70 and 1.7e-5 at 2^88, so ``hardy.COMPENSATED_LIMIT``
+admits phase values up to 2^70 only.
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class DD:
     def __sub__(self, other):
         return self + (-as_dd(other))
 
-    def __rsub__(self, other):
-        return as_dd(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, DD):
             p, e = two_prod(self.hi, other.hi)
@@ -128,23 +127,13 @@ class DD:
         hi, lo = quick_two_sum(s, e)
         return DD._raw(hi, lo)
 
-    def __rtruediv__(self, other):
-        return as_dd(other) / self
-
-    # -- conversions and shape helpers --------------------------------------
+    # -- conversions --------------------------------------------------------
 
     def to_float(self) -> np.ndarray:
         return self.hi + self.lo
 
     def __float__(self):
         return float(self.hi) + float(self.lo)
-
-    @property
-    def shape(self):
-        return self.hi.shape
-
-    def copy(self):
-        return DD._raw(self.hi.copy(), self.lo.copy())
 
     def __repr__(self):
         return f"DD(hi={self.hi!r}, lo={self.lo!r})"
@@ -245,46 +234,43 @@ def dd_log(x: np.ndarray) -> DD:
 
 # -- floors and fractional parts ---------------------------------------------
 
-def dd_floor(x: DD):
-    """Exact floor of a dd value; returns (int64 floors, dd remainder)."""
-    f = np.floor(x.hi)
-    r = x - f
-    f = f - (r.hi < 0.0)
-    f = f + (r.to_float() >= 1.0)
-    r = x - f
-    return f.astype(np.int64), r
+def _nearest(x: DD):
+    """Nearest integer of a dd value, as in floor(dd_real) of the QD library:
+    returns (n_hi, n_lo, r, d) with n_hi = rint(hi), n_lo = rint(lo) (0 below
+    2^51), r = x - n_hi and d = r - n_lo = x - (n_hi + n_lo).  |d| <= 0.5,
+    save where hi is a half-integer that lo moves x past (|d| <= 0.75)."""
+    n_hi = np.rint(x.hi)
+    n_lo = np.rint(x.lo)
+    r = DD._raw(*quick_two_sum(x.hi - n_hi, x.lo))  # x.hi - n_hi is exact
+    return n_hi, n_lo, r, r.to_float() - n_lo
 
 
 def floor_with_boundary(x: DD, tol: float = 1e-9):
     """Floor with the near-integer tie-break: values within tol of an
-    integer m floor to m (never m-1).  Returns (int64, boundary count)."""
-    near = np.rint(x.hi)
-    delta = (x - near).to_float()
-    boundary = np.abs(delta) < tol
-    fl, _ = dd_floor(x)
-    fl = np.where(boundary, near.astype(np.int64), fl)
+    integer m floor to m (never m-1).  Returns (int64, boundary count);
+    raises OverflowError from |floor| ~ 2^62 on, before int64 wraps."""
+    n_hi, n_lo, _, d = _nearest(x)
+    if np.any(np.abs(n_hi) >= 2.0**62):
+        raise OverflowError("floor exceeds the int64 range (2^62)")
+    boundary = np.abs(d) < tol
+    fl = n_hi.astype(np.int64) + n_lo.astype(np.int64) - ((d < 0) & ~boundary)
     return fl, int(np.count_nonzero(boundary))
 
 
 def frac_unit(x: DD, tol: float = 1e-9):
     """Fractional parts in [0, 1); near-integer values collapse to 0.0 and
     are counted as boundary events (consistent with floor_with_boundary)."""
-    near = np.rint(x.hi)
-    delta = (x - near).to_float()
-    boundary = np.abs(delta) < tol
-    _, r = dd_floor(x)
-    pts = r.to_float()
-    pts = np.where(boundary, 0.0, pts)
-    pts = np.where(pts >= 1.0, 0.0, pts)  # guard against rounding to 1.0
-    pts = np.where(pts < 0.0, 0.0, pts)
+    _, n_lo, r, d = _nearest(x)
+    boundary = np.abs(d) < tol
+    pts = (r - (n_lo - (d < 0))).to_float()
+    pts = np.where(boundary | (pts >= 1.0), 0.0, pts)
     return pts, int(np.count_nonzero(boundary))
 
 
 def frac_nearest(x: DD) -> np.ndarray:
-    """Signed distance to the nearest integer, in [-0.5-eps, 0.5+eps].
+    """Signed distance to the nearest integer (up to a tie, see _nearest).
 
     Used to reduce phases mod 1 before sin/cos so the circular argument
     never carries the magnitude of the phase.
     """
-    near = np.rint(x.hi)
-    return (x - near).to_float()
+    return _nearest(x)[3]

@@ -15,14 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .expsums import (
-    DEFAULT_CHUNK,
-    _check_magnitude,
-    erdos_turan_bound,
-    weyl_moduli,
-)
+from .expsums import erdos_turan_bound, weyl_moduli
 from .errors import GateError
-from .hardy import BOUNDARY_TOL, HardyExpr, _evaluate_chunks
+from .hardy import (BOUNDARY_TOL, DEFAULT_CHUNK, HardyExpr, _check_magnitude,
+                    _evaluate_chunks)
 from .ddarith import frac_unit
 from .primes import PrimeTable
 
@@ -122,7 +118,7 @@ def fractional_parts(expr: HardyExpr, q: int, domain: str, N: int,
     if N < 1:
         raise ValueError("N must be >= 1")
     ns = _domain_indices(domain, N, table, modulus, residue)
-    _check_magnitude(expr, q, float(ns[-1]))
+    _check_magnitude(expr, float(ns[-1]), q)
     if expr.is_zero:
         pts, events = np.zeros(len(ns)), 0
     else:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .ddarith import floor_with_boundary
-from .hardy import BOUNDARY_TOL, HardyExpr, _evaluate_chunks
+from .hardy import BOUNDARY_TOL, HardyExpr, _check_magnitude, _evaluate_chunks
 from .primes import PrimeTable
 
 
@@ -60,6 +60,8 @@ def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
                   tol: float = BOUNDARY_TOL):
     """(N x m) int64 matrix of index vectors over the first N primes, plus
     the count of near-integer floor boundary events."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     ps = table.first(N)
     cols = []
     if spec.poly_degree:
@@ -72,6 +74,7 @@ def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
             cols.append(acc.copy())
     events = 0
     for expr in spec.exprs:
+        _check_magnitude(expr, float(ps[-1]))
         parts = _evaluate_chunks(expr, ps, lambda v: floor_with_boundary(v, tol))
         events += sum(ev for _, ev in parts)
         cols.append(np.concatenate([fl for fl, _ in parts]))

@@ -21,13 +21,12 @@ import numpy as np
 from .ddarith import DD, frac_nearest
 from .errors import GateError
 from .hardy import (
-    COMPENSATED_LIMIT,
     DEFAULT_CHUNK,
     HardyExpr,
+    _check_magnitude,
     _evaluate_chunks,
     evaluate_array,
     differentiate,
-    magnitude_bound,
     nth_derivative,
 )
 from .primes import PrimeTable
@@ -105,14 +104,6 @@ def _reduce_ordered(parts: list[tuple[float, float]]) -> complex:
     return complex(float(re), float(im))
 
 
-def _check_magnitude(expr: HardyExpr, q: int, x_max: float) -> None:
-    if magnitude_bound(expr, x_max, q) > COMPENSATED_LIMIT:
-        raise OverflowError(
-            "phase magnitude exceeds the compensated range "
-            f"(2^{math.log2(COMPENSATED_LIMIT):g})"
-        )
-
-
 def weyl_sum_integers(phase: HardyExpr, q: int, a: int, b: int, *,
                       chunk_size: int = DEFAULT_CHUNK,
                       threads: int = 1) -> ExpSumResult:
@@ -125,7 +116,7 @@ def weyl_sum_integers(phase: HardyExpr, q: int, a: int, b: int, *,
     lo = 2 if phase.has_log else 1
     if not (b >= a >= lo):
         raise ValueError(f"need b >= a >= {lo} for this phase")
-    _check_magnitude(phase, q, float(b))
+    _check_magnitude(phase, float(b), q)
     parts = _evaluate_chunks(phase, np.arange(a, b + 1, dtype=np.int64),
                              _circle_sums(q), chunk_size=chunk_size,
                              threads=threads, first=a)
@@ -141,7 +132,7 @@ def weyl_sum_primes(phase: HardyExpr, q: int, X: int, table: PrimeTable, *,
         raise ValueError("q must be nonzero")
     if X > table.limit:
         raise ValueError("X exceeds table limit")
-    _check_magnitude(phase, q, float(X))
+    _check_magnitude(phase, float(X), q)
     hi = int(np.searchsorted(table.primes, X, side="right"))
     lo = 0
     if X0 is not None:

@@ -263,7 +263,7 @@ def format_expr(expr: HardyExpr) -> str:
         return "0"
     pieces = []
     for t in expr.terms:
-        for symbol, mult in t.parts_for_printing():
+        for symbol, mult in t.coeff.parts:
             pieces.append(_format_piece(mult, symbol, t.theta, t.logpow))
     out = []
     for i, (sign, body) in enumerate(pieces):

@@ -53,10 +53,6 @@ class PrimeTable:
             )
         return self.primes[:n]
 
-    def nth(self, n: int) -> int:
-        """1-indexed n-th prime."""
-        return int(self.first(n)[-1])
-
 
 def _simple_sieve(limit: int) -> np.ndarray:
     if limit < 2:

@@ -355,6 +355,19 @@ def _case(argv, message=None):
                         id=" ".join(argv[-2:]))
 
 
+def _unread(command, flag, value, *rest):
+    """A flag that the command does not read is refused."""
+    return pytest.param([command, *rest, flag, value],
+                        f"unrecognized arguments: {flag} {value}",
+                        id=f"{command} {flag}")
+
+
+# An x^4 floor coordinate over the first N primes: 104729^4 ~ 2^66.7 passes
+# the 2^70 phase guard but not the int64 floors; 224737^4 ~ 2^71.1 does not.
+LATTICE_X4 = "kind = lattice\nN = {N}\nperiod = 3\nmask = 101\nexprs = x^4\n"
+X4_SCAN = ["recurrence-scan", "--table-limit", "300000", "--config"]
+
+
 @pytest.mark.parametrize("argv, message", [
     _case(UD_SMALL + ["--checkpoints", "10,abc"]),
     _case(UD_SMALL + ["--checkpoints", "10,0"]),
@@ -368,8 +381,26 @@ def _case(argv, message=None):
            "--q", "0"], "q must be nonzero"),
     _case(["sieve", "--limit", "100", "--table-limit", "5"],
           "unrecognized arguments: --table-limit 5"),
+    _case(["vaughan-check", "--X", "100000", "--u", "10", "--v", "10",
+           "--phase", "x^9"], "exceeds the compensated range (2^70)"),
+    _case(["vaughan-check", "--X", "0", "--u", "1", "--v", "1", "--phase", "x"],
+          "X must be >= v"),
+    _case(X4_SCAN + ["x4_20000.cfg"], "exceeds the compensated range (2^70)"),
+    _case(X4_SCAN + ["x4_10000.cfg"], "floor exceeds the int64 range"),
+    *(_unread(cmd, flag, "3", *rest)
+      for cmd, rest in [("sieve", ["--limit", "100"]),
+                        ("ergodic-average", ["--config", "unitary.cfg"]),
+                        ("recurrence-scan", ["--config", "x4_10000.cfg"]),
+                        ("fcplus-probe", ["--config", "measure.cfg"])]
+      for flag in ("--seed", "--threads", "--chunk")),
+    _unread("ud-test", "--seed", "3", *UD_SMALL[1:]),
+    _unread("weyl-sum", "--seed", "3", "--expr", "x^(1/2)"),
+    _unread("corpus-run", "--seed", "3"),
 ])
-def test_invalid_flags_exit_2(argv, message, capsys):
+def test_invalid_flags_exit_2(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for N in (10_000, 20_000):
+        (tmp_path / f"x4_{N}.cfg").write_text(LATTICE_X4.format(N=N))
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
 

@@ -24,6 +24,8 @@ from primeud.ddarith import (
     two_prod,
     two_sum,
 )
+from primeud.hardy import evaluate_array
+from primeud.literals import parse_expr
 
 mpmath.mp.dps = 50
 
@@ -46,7 +48,7 @@ def test_two_sum_error_free(a, b):
 
 
 # products must stay clear of subnormal underflow for the transform to be
-# exact; phase values here live in [1, 2^90] so this is the relevant range
+# exact; phase values here live in [1, 2^70] so this is the relevant range
 _prod_float = st.floats(allow_nan=False, allow_infinity=False,
                         min_value=1e-100, max_value=1e100).map(
     lambda v: v if v > 1e-100 else 1.0
@@ -170,3 +172,59 @@ def test_pow_frac_property(x, num, den):
     exact = mpmath.power(x, mpmath.mpf(num) / den)
     rel = abs(mp(DD(val.hi[0], val.lo[0])) - exact) / exact
     assert rel < mpmath.mpf("1e-27")
+
+
+def test_floor_refuses_int64_overflow():
+    floors, _ = floor_with_boundary(DD(np.asarray([2.0**62 - 1024, -(2.0**62 - 1024)])))
+    assert list(floors) == [2**62 - 1024, -(2**62 - 1024)]
+    for v in (2.0**62, -(2.0**62), 2.0**70):
+        with pytest.raises(OverflowError, match="int64"):
+            floor_with_boundary(DD(np.asarray([5.0, v])))
+
+
+# One expression per term class, with the first and last integer x at which
+# its phase lies in [2^40, 2^70] (the compensated limit), and its exact value.
+_MP = mpmath.mpf
+REDUCTION_CASES = [
+    ("x^(7/2)", 2757, 1048575, lambda x: _MP(x) ** (_MP(7) / 2)),
+    ("x^(5/3)", 2**24, 2**42 - 1, lambda x: mpmath.cbrt(_MP(x) ** 5)),
+    ("x^(3/2) + log^2", 106528682, 111703418533304,
+     lambda x: _MP(x) ** (_MP(3) / 2) + mpmath.log(x) ** 2),
+    ("x^2*log^3", 31462, 390493821, lambda x: _MP(x) ** 2 * mpmath.log(x) ** 3),
+    ("pi*x^3", 7048, 7216333, lambda x: mpmath.pi * _MP(x) ** 3),
+    ("sqrt(2)*x^2", 881744, 28892980822, lambda x: mpmath.sqrt(2) * _MP(x) ** 2),
+    ("irr(0.734051234)*x^(5/3)", 20196871, 5294488313616,
+     lambda x: _MP("0.734051234") * mpmath.cbrt(_MP(x) ** 5)),
+]
+
+
+@pytest.mark.parametrize("literal, x_lo, x_hi, exact", REDUCTION_CASES,
+                         ids=[c[0] for c in REDUCTION_CASES])
+def test_reductions_match_oracle_to_limit(literal, x_lo, x_hi, exact):
+    """frac_unit, frac_nearest and floor_with_boundary of compensated phase
+    values from 2^40 to 2^70, against the reductions of the exact value."""
+    xs = np.unique(np.rint(np.geomspace(x_lo, x_hi, 160)))
+    vals = evaluate_array(parse_expr(literal), xs, "compensated")
+    exact_vals = [exact(int(x)) for x in xs]
+    mags = np.abs(vals.hi)
+    assert 2.0**40 <= mags.min() < 2.0**41 and 2.0**69 < mags.max() <= 2.0**70
+    tol = 1e-9  # the measured evaluation error is 5e-11 at 2^70
+
+    pts, _ = frac_unit(vals, tol)
+    dist = frac_nearest(vals)
+    assert np.all((pts >= 0.0) & (pts < 1.0))
+    assert np.all(np.abs(dist) <= 0.75)
+    for i, v in enumerate(exact_vals):
+        frac = float(v - mpmath.floor(v))
+        for got in (pts[i], dist[i]):
+            off = abs(got - frac)
+            assert abs(off - round(off)) < tol, (xs[i], got, frac)
+
+    below = mags < 2.0**62
+    assert below.sum() > 20
+    floors, _ = floor_with_boundary(DD(vals.hi[below], vals.lo[below]), tol)
+    for fl, v in zip(floors, (v for v, b in zip(exact_vals, below) if b)):
+        if abs(v - mpmath.nint(v)) > tol:
+            assert int(fl) == int(mpmath.floor(v)), (v, fl)
+    with pytest.raises(OverflowError):
+        floor_with_boundary(vals, tol)

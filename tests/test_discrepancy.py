@@ -155,6 +155,13 @@ def test_fractional_parts_decreasing_star(table2m):
     assert stars[100_000] < stars[1_000] / 2.0
 
 
+def test_fractional_parts_past_2_52():
+    # pi*n^3 reaches 2^57.5 at n = 400000, where dd values carry integer
+    # parts in lo; Weyl's theorem makes the sequence u.d.
+    sample = fractional_parts(parse_expr("pi*x^3"), 1, "integers", 400_000)
+    assert star_discrepancy(sample.points) < 0.01
+
+
 def test_fractional_parts_independent_of_chunks_and_threads(table2m):
     expr = parse_expr("x^(1/2) + log^2")
     ref = fractional_parts(expr, 1, "primes", 40_000, table2m, chunk_size=1000)
