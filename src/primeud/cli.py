@@ -275,24 +275,25 @@ def _cmd_weyl_sum(config: RunConfig) -> int:
 
 
 def _cmd_vaughan_check(config: RunConfig) -> int:
+    """g(n) = e(phase(n)), or a seeded random unit, tabulated once for
+    0 <= n <= X; vaughan_decompose reads each point many times."""
     p = config.parameters
     X, u, v = p["X"], p["u"], p["v"]
+    size = max(X, 0) + 1  # X < v is vaughan_decompose's to refuse
     if p["phase"] is not None:
         phase = _parse_expr_arg(p["phase"])
         _check_magnitude(phase, float(X))
-
-        def g(ns):
-            return np.concatenate(_evaluate_chunks(
-                phase, ns, lambda v: e(frac_nearest(v)),
-                chunk_size=config.chunk, threads=config.threads))
+        tbl = np.zeros(size, dtype=complex)
+        np.concatenate(_evaluate_chunks(
+            phase, np.arange(1, size, dtype=np.int64),
+            lambda vals: e(frac_nearest(vals)),
+            chunk_size=config.chunk, threads=config.threads, first=1),
+            out=tbl[1:])
     else:
         rng = np.random.default_rng(config.seed)
-        tbl = np.exp(2j * np.pi * rng.random(X + 1))
+        tbl = np.exp(2j * np.pi * rng.random(size))
 
-        def g(ns):
-            return tbl[ns]
-
-    rep = vaughan_decompose(g, X, u, v)
+    rep = vaughan_decompose(lambda ns: tbl[ns], X, u, v)
     holds = rep.relative_residual < 1e-9
     _emit(config, rep, residual=rep.residual,
           relative_residual=rep.relative_residual, identity_holds=holds)

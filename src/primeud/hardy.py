@@ -46,10 +46,12 @@ def _check_magnitude(expr: HardyExpr, x_max: float, q: int = 1) -> None:
     exceeds COMPENSATED_LIMIT; every compensated evaluation checks it."""
     x_max = max(x_max, 1.0)  # a range below 1 is the caller's to refuse
     lx = max(math.log(x_max), 1.0)
-    total = 0.0
-    for t in expr.terms:
-        total += abs(t.coeff.value) * x_max ** float(t.theta) * lx ** t.logpow
-    if abs(q) * total > COMPENSATED_LIMIT:
+    try:
+        total = abs(q) * sum(abs(t.coeff.value) * x_max ** float(t.theta)
+                             * lx ** t.logpow for t in expr.terms)
+    except OverflowError:  # the estimate itself passes the largest float
+        total = math.inf
+    if total > COMPENSATED_LIMIT:
         raise OverflowError(
             "phase magnitude exceeds the compensated range "
             f"(2^{math.log2(COMPENSATED_LIMIT):g})"

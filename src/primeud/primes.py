@@ -153,56 +153,41 @@ def ap_balance_report(table: PrimeTable, q_max: int, x: int) -> ApBalanceReport:
 
 @dataclass(frozen=True)
 class ArithTables:
-    """Lambda (von Mangoldt), Mobius and totient values up to limit.
-
-    lam[n] stores log p for prime powers; lam_base[n] stores the prime p
-    itself, so prime-power membership is an integer lookup rather than a
-    float comparison.
-    """
+    """Lambda (von Mangoldt) and Mobius values up to limit, the two tables
+    vaughan_decompose reads."""
 
     limit: int
     lam: np.ndarray        # float64, lam[n] = log p if n = p^k else 0
-    lam_base: np.ndarray   # int64, p for prime powers, else 0
     mobius: np.ndarray     # int8 in {-1, 0, 1}
-    phi: np.ndarray        # int64
-
-    def is_prime_power(self, n: int) -> bool:
-        return self.lam_base[n] != 0
 
 
 def arith_tables(limit: int) -> ArithTables:
+    """Lambda and Mobius up to limit, sieved with the primes <= sqrt(limit).
+
+    rad[n] is the product of those primes that divide n.  A squarefree n
+    with rad[n] != n has exactly one prime factor above sqrt(limit), which
+    flips mu(n) once more.
+    """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     n = limit + 1
     primes = _simple_sieve(limit)
 
     lam = np.zeros(n, dtype=np.float64)
-    lam_base = np.zeros(n, dtype=np.int64)
     lam[primes] = np.log(primes.astype(np.float64))
-    lam_base[primes] = primes
+    mob = np.ones(n, dtype=np.int8)
+    rad = np.ones(n, dtype=np.int32 if limit < 2**31 else np.int64)
     for p in primes[primes <= math.isqrt(limit)]:
         p = int(p)
         pk = p * p
         while pk <= limit:
             lam[pk] = math.log(p)
-            lam_base[pk] = p
             pk *= p
-
-    mob = np.ones(n, dtype=np.int64)
-    for p in primes:
-        p = int(p)
         mob[p::p] *= -1
-        sq = p * p
-        if sq <= limit:
-            mob[sq::sq] = 0
-
-    phi = np.arange(n, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        phi[p::p] -= phi[p::p] // p
-
-    return ArithTables(limit=limit, lam=lam, lam_base=lam_base,
-                       mobius=mob.astype(np.int8), phi=phi)
+        mob[p * p :: p * p] = 0
+        rad[p::p] *= p
+    mob[1:][rad[1:] != np.arange(1, n, dtype=rad.dtype)] *= -1
+    return ArithTables(limit=limit, lam=lam, mobius=mob)
 
 
 # -- exact identities -------------------------------------------------------------

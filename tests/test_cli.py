@@ -91,6 +91,21 @@ def test_vaughan_check_artifact(tmp_path):
     assert blob["results"]["residual"] < 1e-9
 
 
+def test_vaughan_check_independent_of_chunks_and_threads(tmp_path):
+    # X = 50_001 is no multiple of either chunk size.
+    def results(name, *flags):
+        out = tmp_path / f"{name}.json"
+        assert run_cli("vaughan-check", "--X", "50001", "--u", "20", "--v", "20",
+                       "--phase", "sqrt(2)*x^(3/2)", "--out", str(out), *flags) == 0
+        text = out.read_text()
+        return text[text.index('"results"'):]
+
+    default = results("default")
+    assert results("chunk", "--chunk", "1000") == default
+    assert results("threads1", "--threads", "1") == default
+    assert results("threads2", "--threads", "2") == default
+
+
 def test_weyl_sum_command(tmp_path):
     out = tmp_path / "w.json"
     code = run_cli("weyl-sum", "--expr", "x^(3/2)", "--domain", "integers",
@@ -385,6 +400,12 @@ X4_SCAN = ["recurrence-scan", "--table-limit", "300000", "--config"]
            "--phase", "x^9"], "exceeds the compensated range (2^70)"),
     _case(["vaughan-check", "--X", "0", "--u", "1", "--v", "1", "--phase", "x"],
           "X must be >= v"),
+    _case(["ud-test", "--domain", "integers", "--N", "10", "--expr", "x^(100000)"],
+          "exceeds the compensated range (2^70)"),
+    _case(["weyl-sum", "--expr", "x^(100000)", "--range", "2", "10",
+           "--domain", "integers"], "exceeds the compensated range (2^70)"),
+    _case(["vaughan-check", "--X", "1000", "--u", "10", "--v", "10",
+           "--phase", "x^(100000)"], "exceeds the compensated range (2^70)"),
     _case(X4_SCAN + ["x4_20000.cfg"], "exceeds the compensated range (2^70)"),
     _case(X4_SCAN + ["x4_10000.cfg"], "floor exceeds the int64 range"),
     *(_unread(cmd, flag, "3", *rest)

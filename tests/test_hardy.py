@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from primeud.ddarith import frac_nearest
+from primeud.expsums import e
 from primeud.hardy import (
     Coefficient,
     ExprDomainError,
@@ -452,3 +454,21 @@ def test_evaluate_chunks_values_and_threads():
     joined = np.concatenate(parts[1], axis=1)
     assert np.array_equal(joined[0], whole.hi)
     assert np.array_equal(joined[1], whole.lo)
+
+
+@pytest.mark.parametrize("literal", ["irr(0.7340512)*x^2", "x^(3/2)",
+                                     "x^(1/2) + log^2"])
+def test_unit_reduction_is_pointwise(literal, rng):
+    # vaughan-check tabulates e(phase(n)) once over 1..X and indexes it; that
+    # is byte-identical to evaluating any subset only if no value depends on
+    # its neighbours in the chunk.
+    def units(ns, **kw):
+        return np.concatenate(_evaluate_chunks(
+            expr, ns, lambda v: e(frac_nearest(v)), **kw))
+
+    expr = parse_expr(literal)
+    table = units(np.arange(2, 50_001), first=2)  # log is undefined at 1
+    subset = rng.permutation(49_999)[:7_001] + 2
+    assert not np.all(np.diff(subset) == 1)
+    got = units(subset, chunk_size=1000)
+    assert got.tobytes() == table[subset - 2].tobytes()

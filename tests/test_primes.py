@@ -126,23 +126,6 @@ def test_lambda_values(arith10k):
     assert lam[8] == pytest.approx(math.log(2), abs=0)
     assert lam[6] == 0.0
     assert lam[7] == pytest.approx(math.log(7), abs=0)
-    assert arith10k.is_prime_power(8)
-    assert arith10k.lam_base[8] == 2
-    assert not arith10k.is_prime_power(6)
-
-
-def test_phi_values(arith10k):
-    phi = arith10k.phi
-    assert phi[12] == 4
-    assert phi[1] == 1
-    assert phi[7] == 6
-
-
-def test_phi_divisor_sum(arith10k):
-    # sum_{d | n} phi(d) = n, spot-checked
-    for n in (1, 2, 12, 36, 97, 360, 1024, 9999):
-        total = sum(int(arith10k.phi[d]) for d in range(1, n + 1) if n % d == 0)
-        assert total == n
 
 
 def test_multiplicativity_spot_checks(rng):
@@ -154,8 +137,71 @@ def test_multiplicativity_spot_checks(rng):
         if math.gcd(m, n) != 1:
             continue
         assert t.mobius[m * n] == t.mobius[m] * t.mobius[n]
-        assert t.phi[m * n] == t.phi[m] * t.phi[n]
         checked += 1
+
+
+def _factor(n):
+    """{p: exponent} by trial division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _check_lam_mu(t, n):
+    f = _factor(n)
+    lam = math.log(next(iter(f))) if len(f) == 1 else 0.0
+    mu = 0 if any(k > 1 for k in f.values()) else (-1) ** len(f)
+    assert t.lam[n] == pytest.approx(lam, rel=1e-15, abs=0), n
+    assert t.mobius[n] == mu, n
+
+
+def test_arith_tables_match_trial_division():
+    t = arith_tables(5_000)
+    assert t.mobius.dtype == np.int8
+    for n in range(1, 5_001):
+        _check_lam_mu(t, n)
+
+
+def test_arith_tables_past_sqrt_limit(rng):
+    # sqrt(1_000_003) ~ 1000: the large prime factor of p*q, p^2*q and of
+    # the primes near the limit (1_000_003 is one) is never sieved with.
+    limit = 1_000_003
+    t = arith_tables(limit)
+    primes = sieve(limit).primes
+    small, large = primes[primes <= 1000], primes[primes > 1000]
+    ns = [int(n) for n in large[-20:]]
+    for _ in range(300):
+        q = int(rng.choice(large[large <= limit // 2]))
+        p = int(rng.choice(small[small <= limit // q]))
+        ns += [p * q, p * p] + ([p * p * q] if p * p * q <= limit else [])
+    for p in (2, 3, 7, 31, 997):
+        ns += [p**k for k in range(1, 20) if p**k <= limit]
+    assert limit in ns
+    for n in ns:
+        _check_lam_mu(t, n)
+
+
+def test_vaughan_reuses_a_larger_table(arith10k, monkeypatch):
+    built = []
+
+    def counted(limit):
+        built.append(limit)
+        return arith_tables(limit)
+
+    def g(ns):
+        return np.exp(0.37j * ns)
+
+    monkeypatch.setattr("primeud.primes.arith_tables", counted)
+    rep = vaughan_decompose(g, 2_000, 7, 7, tables=arith10k)
+    assert built == [] and rep.relative_residual < 1e-9
+    vaughan_decompose(g, 2_000, 7, 7, tables=arith_tables(100))
+    assert built == [2_000]
 
 
 def test_lambda_sq_window(arith100k):
