@@ -276,7 +276,9 @@ def _cmd_weyl_sum(config: RunConfig) -> int:
 
 def _cmd_vaughan_check(config: RunConfig) -> int:
     """g(n) = e(phase(n)), or a seeded random unit, tabulated once for
-    0 <= n <= X; vaughan_decompose reads each point many times."""
+    0 <= n <= X; vaughan_decompose reads each point many times.  A phase
+    table starts at n = 2, inside the log domain: g(0) is never read and
+    g(1) only as log(1) g(1), so both stay 0."""
     p = config.parameters
     X, u, v = p["X"], p["u"], p["v"]
     size = max(X, 0) + 1  # X < v is vaughan_decompose's to refuse
@@ -285,15 +287,15 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
         _check_magnitude(phase, float(X))
         tbl = np.zeros(size, dtype=complex)
         np.concatenate(_evaluate_chunks(
-            phase, np.arange(1, size, dtype=np.int64),
+            phase, np.arange(2, size, dtype=np.int64),
             lambda vals: e(frac_nearest(vals)),
-            chunk_size=config.chunk, threads=config.threads, first=1),
-            out=tbl[1:])
+            chunk_size=config.chunk, threads=config.threads, first=2),
+            out=tbl[2:])
     else:
         rng = np.random.default_rng(config.seed)
         tbl = np.exp(2j * np.pi * rng.random(size))
 
-    rep = vaughan_decompose(lambda ns: tbl[ns], X, u, v)
+    rep = vaughan_decompose(tbl, u, v)
     holds = rep.relative_residual < 1e-9
     _emit(config, rep, residual=rep.residual,
           relative_residual=rep.relative_residual, identity_holds=holds)
@@ -315,9 +317,8 @@ def _cmd_bound_check(config: RunConfig) -> int:
                                   chunk_size=config.chunk, threads=config.threads)
     elif which == "vdc":
         rng = np.random.default_rng(config.seed)
-        N = p["N"]
-        vals = np.exp(2j * np.pi * rng.random(N))
-        rep = vdc_inequality_check(lambda ns: vals[ns - 1], p["H"], 0, N)
+        vals = np.exp(2j * np.pi * rng.random(p["N"]))
+        rep = vdc_inequality_check(vals, p["H"])
         must_hold = True
     elif which == "composite":
         phase = _parse_expr_arg(p["expr"])
@@ -630,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--expr", default=None)
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--range", type=int, nargs=2, default=None, metavar=("A", "B"))
-    sp.add_argument("--N", type=int, default=1000)
+    sp.add_argument("--N", type=_positive_int, default=1000)
     sp.add_argument("--H", type=int, default=10)
     sp.add_argument("--Q", type=int, default=50)
     sp.add_argument("--k", type=int, default=1)
@@ -714,6 +715,9 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, ExprSyntaxError, ExprDomainError,
             ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the refused size
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GateError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -196,10 +195,9 @@ def kusmin_landau_check(phase: HardyExpr, q: int, a: int, b: int, *,
     return rep
 
 
-def vdc_inequality_check(xi: Callable[[np.ndarray], np.ndarray], H: int,
-                         a: int, b: int) -> BoundReport:
-    """Shifted-correlation inequality for a unit-modulus sequence on the
-    interval I = (a, b]:
+def vdc_inequality_check(vals, H: int) -> BoundReport:
+    """Shifted-correlation inequality for a unit-modulus sequence
+    xi(n) = vals[n - 1] on the interval I = (0, N], N = len(vals):
 
         |sum_{n in I} xi(n)|^2  <=  (|I|+H)/H * sum_{|h|<=H} (1-|h|/H) C_h,
 
@@ -208,11 +206,10 @@ def vdc_inequality_check(xi: Callable[[np.ndarray], np.ndarray], H: int,
     """
     if H < 1:
         raise ValueError("H must be >= 1")
-    if b - a < 1:
+    vals = np.asarray(vals, dtype=complex)
+    N = len(vals)
+    if N < 1:
         raise ValueError("|I| must be >= 1")
-    ns = np.arange(a + 1, b + 1, dtype=np.int64)
-    vals = np.asarray(xi(ns), dtype=complex)
-    N = len(ns)
     lhs = abs(np.sum(vals)) ** 2
     total = float(np.sum(np.abs(vals) ** 2))  # h = 0 term, weight 1
     for h in range(1, H + 1):
@@ -223,7 +220,7 @@ def vdc_inequality_check(xi: Callable[[np.ndarray], np.ndarray], H: int,
     bound = (N + H) / H * total
     return _make_bound_report(
         "weyl-van-der-corput", lhs, bound,
-        params={"H": H, "interval": [a, b], "count": N},
+        params={"H": H, "interval": [0, N], "count": N},
         precision_mode="standard",
     )
 
@@ -311,8 +308,6 @@ def erdos_turan_bound(points, Q: int, *, constant: float = ERDOS_TURAN_CONSTANT,
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    if callable(points):
-        points = points()
     pts = np.asarray(points, dtype=np.float64)
     N = len(pts)
     if N < 1:

@@ -13,7 +13,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -197,6 +196,10 @@ def _fsum_complex(parts: list[complex]) -> complex:
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
+def _csum(vals: np.ndarray) -> complex:
+    return complex(np.sum(vals.real), np.sum(vals.imag))
+
+
 @dataclass(frozen=True)
 class VaughanReport:
     X: int
@@ -220,77 +223,51 @@ class VaughanReport:
         return self.residual / (1.0 + abs(self.lhs))
 
 
-def vaughan_decompose(g: Callable[[np.ndarray], np.ndarray], X: int, u: int,
-                      v: int, tables: ArithTables | None = None) -> VaughanReport:
+def vaughan_decompose(gv: np.ndarray, u: int, v: int) -> VaughanReport:
     """Exact bilinear decomposition of sum_{v < n <= X} Lambda(n) g(n) into
-    T1 - T2 - T3.
+    T1 - T2 - T3, where gv[n] = g(n) for 0 <= n <= X = len(gv) - 1.
 
-    g must be vectorized (int64 array -> complex array).  The left-hand sum
+    g(0) is never read, and g(1) only as log(1) g(1).  The left-hand sum
     runs over n strictly greater than v: with the inclusive boundary the
     identity is off by Lambda(v) g(v) whenever v is a prime power (checked
     by direct expansion), so the strict version is the exact one.
     """
+    X = len(gv) - 1
     if u < 1 or v < 1:
         raise ValueError("u and v must be >= 1")
     if X < v:
         raise ValueError("X must be >= v")
-    t = tables if tables is not None and tables.limit >= X else arith_tables(max(X, 2))
-    lam, mob = t.lam, t.mobius
+    t = arith_tables(max(X, 2))
+    lam, mob = t.lam[: X + 1], t.mobius
+    # squarefree d <= u; a d > X adds nothing to any term
+    sqfree = [int(d) for d in np.flatnonzero(mob[1 : min(u, X) + 1]) + 1]
 
-    ns = np.arange(v + 1, X + 1, dtype=np.int64)
-    if ns.size:
-        w = lam[ns]
-        gv = g(ns)
-        lhs = complex(math.fsum(w * gv.real), math.fsum(w * gv.imag))
-    else:
-        lhs = 0j
+    w = lam[v + 1 :]
+    lhs = complex(math.fsum(w * gv[v + 1 :].real), math.fsum(w * gv[v + 1 :].imag))
 
     # T1 = sum_{d<=u} mu(d) sum_{m<=X/d} log(m) g(dm)
-    parts = []
-    for d in range(1, u + 1):
-        mu_d = int(mob[d])
-        if mu_d == 0:
-            continue
-        ms = np.arange(1, X // d + 1, dtype=np.int64)
-        vals = np.log(ms.astype(np.float64)) * g(d * ms)
-        parts.append(mu_d * complex(np.sum(vals.real), np.sum(vals.imag)))
-    t1 = _fsum_complex(parts)
+    log_m = np.log(np.arange(1, X + 1, dtype=np.float64))
+    t1 = _fsum_complex([int(mob[d]) * _csum(log_m[: X // d] * gv[d::d])
+                        for d in sqfree])
 
     # a(m) = sum_{d<=u} sum_{n<=v, dn=m} mu(d) Lambda(n), supported on m <= uv
+    small = np.flatnonzero(lam[: v + 1])  # prime powers <= v
     a = np.zeros(u * v + 1, dtype=np.float64)
-    for d in range(1, u + 1):
-        mu_d = int(mob[d])
-        if mu_d == 0:
-            continue
-        for nn in range(1, v + 1):
-            if lam[nn] != 0.0:
-                a[d * nn] += mu_d * lam[nn]
-    parts = []
-    for m in range(1, min(u * v, X) + 1):
-        if a[m] == 0.0:
-            continue
-        rs = np.arange(1, X // m + 1, dtype=np.int64)
-        vals = g(m * rs)
-        parts.append(a[m] * complex(np.sum(vals.real), np.sum(vals.imag)))
-    t2 = _fsum_complex(parts)
+    for d in sqfree:
+        a[d * small] += int(mob[d]) * lam[small]
+    t2 = _fsum_complex([a[m] * _csum(gv[m::m])
+                        for m in np.flatnonzero(a[: min(u * v, X) + 1])])
 
     # b(m) = sum_{d<=u, d|m} mu(d); T3 = sum_{m>u} sum_{v<n<=X/m} b(m) Lam(n) g(mn)
-    m_max = X // (v + 1)
-    b = np.zeros(m_max + 1, dtype=np.int64)
-    for d in range(1, min(u, m_max) + 1):
-        if mob[d] != 0:
-            b[d::d] += int(mob[d])
+    b = np.zeros(X // (v + 1) + 1, dtype=np.int64)
+    for d in sqfree:
+        b[d::d] += int(mob[d])
+    large = v + 1 + np.flatnonzero(lam[v + 1 : X // (u + 1) + 1])  # prime powers
     parts = []
-    for m in range(u + 1, m_max + 1):
-        if b[m] == 0:
-            continue
-        nn = np.arange(v + 1, X // m + 1, dtype=np.int64)
-        w = lam[nn]
-        nz = w != 0.0
-        if not np.any(nz):
-            continue
-        vals = w[nz] * g(m * nn[nz])
-        parts.append(int(b[m]) * complex(np.sum(vals.real), np.sum(vals.imag)))
+    for m in u + 1 + np.flatnonzero(b[u + 1 :]):
+        nn = large[: np.searchsorted(large, X // m, side="right")]
+        if nn.size:
+            parts.append(int(b[m]) * _csum(lam[nn] * gv[m * nn]))
     t3 = _fsum_complex(parts)
 
     return VaughanReport(X=X, u=u, v=v, t1=t1, t2=t2, t3=t3, lhs=lhs)
@@ -306,24 +283,14 @@ class PartialSummationReport:
         return abs(self.lhs - self.rhs)
 
 
-def _as_values(seq, X1: int, X2: int) -> np.ndarray:
-    if callable(seq):
-        return np.asarray([complex(seq(n)) for n in range(X1, X2 + 1)], dtype=complex)
-    vals = np.asarray(seq, dtype=complex)
-    if vals.size != X2 - X1 + 1:
-        raise ValueError("sequence length must match [X1, X2]")
-    return vals
-
-
-def partial_summation_check(a, b, X1: int, X2: int) -> PartialSummationReport:
+def partial_summation_check(a, b) -> PartialSummationReport:
     """Both sides of the Abel summation identity
-    sum a_n b_n = sum_{n<X2} (a_n - a_{n+1}) B(n) + a_{X2} B(X2),
-    with B(n) = sum_{m=X1}^n b_m.  Sequences are callables on [X1, X2] or
-    arrays of length X2 - X1 + 1."""
-    if not X1 < X2:
-        raise ValueError("need X1 < X2")
-    av = _as_values(a, X1, X2)
-    bv = _as_values(b, X1, X2)
+    sum a_n b_n = sum_{n<N} (a_n - a_{n+1}) B(n) + a_N B(N),
+    with B(n) = b_1 + ... + b_n, for two arrays a, b of one length N >= 2."""
+    av = np.asarray(a, dtype=complex)
+    bv = np.asarray(b, dtype=complex)
+    if av.ndim != 1 or av.shape != bv.shape or av.size < 2:
+        raise ValueError("need two 1-D sequences of one length >= 2")
     lhs = complex(math.fsum((av * bv).real), math.fsum((av * bv).imag))
     B = np.cumsum(bv)
     pieces = (av[:-1] - av[1:]) * B[:-1]

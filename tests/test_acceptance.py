@@ -30,7 +30,7 @@ from primeud.ergodic import (
 from primeud.expsums import erdos_turan_bound, vdc_inequality_check
 from primeud.hardy import evaluate_array
 from primeud.literals import parse_expr
-from primeud.primes import ap_balance_report, arith_tables, vaughan_decompose
+from primeud.primes import ap_balance_report, vaughan_decompose
 
 mpmath.mp.dps = 50
 
@@ -46,7 +46,6 @@ def _report(num, name, ok, detail=""):
 def test_criterion_01_vaughan_identity():
     t0 = time.time()
     rng = np.random.default_rng(101)
-    tables = arith_tables(10_000)
     worst = 0.0
     for _ in range(50):
         X = int(rng.integers(30, 10_001))
@@ -54,8 +53,7 @@ def test_criterion_01_vaughan_identity():
         v = int(rng.integers(1, 21))
         X = max(X, v)
         g_table = np.exp(2j * np.pi * rng.random(X + 1))
-        rep = vaughan_decompose(lambda ns, t=g_table: t[ns], X, u, v,
-                                tables=tables)
+        rep = vaughan_decompose(g_table, u, v)
         worst = max(worst, rep.relative_residual)
     elapsed = time.time() - t0
     ok = worst < 1e-9 and elapsed < 10.0
@@ -108,7 +106,7 @@ def test_criterion_03_inequalities_hold():
         N = int(rng.integers(2, 250))
         H = int(rng.integers(1, 30))
         vals = np.exp(2j * np.pi * rng.random(N))
-        rep = vdc_inequality_check(lambda ns, v=vals: v[ns - 1], H, 0, N)
+        rep = vdc_inequality_check(vals, H)
         vdc_violations += not rep.holds
     et_violations = 0
     for trial in range(1000):

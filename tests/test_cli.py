@@ -93,17 +93,27 @@ def test_vaughan_check_artifact(tmp_path):
 
 def test_vaughan_check_independent_of_chunks_and_threads(tmp_path):
     # X = 50_001 is no multiple of either chunk size.
-    def results(name, *flags):
+    def results(phase, name, *flags):
         out = tmp_path / f"{name}.json"
         assert run_cli("vaughan-check", "--X", "50001", "--u", "20", "--v", "20",
-                       "--phase", "sqrt(2)*x^(3/2)", "--out", str(out), *flags) == 0
+                       "--phase", phase, "--out", str(out), *flags) == 0
         text = out.read_text()
         return text[text.index('"results"'):]
 
-    default = results("default")
-    assert results("chunk", "--chunk", "1000") == default
-    assert results("threads1", "--threads", "1") == default
-    assert results("threads2", "--threads", "2") == default
+    for phase in ("sqrt(2)*x^(3/2)", "x^(1/2) + log^2"):
+        default = results(phase, "default")
+        assert results(phase, "chunk", "--chunk", "1000") == default
+        assert results(phase, "threads1", "--threads", "1") == default
+        assert results(phase, "threads2", "--threads", "2") == default
+
+
+@pytest.mark.parametrize("phase", ["x^(1/2) + log^2", "log^2"])
+def test_vaughan_check_log_phase(phase, tmp_path):
+    # The table starts at n = 2, inside the log domain.
+    out = tmp_path / "v.json"
+    assert run_cli("vaughan-check", "--X", "100000", "--u", "30", "--v", "30",
+                   "--phase", phase, "--out", str(out)) == 0
+    assert load_artifact(out)["results"]["identity_holds"] is True
 
 
 def test_weyl_sum_command(tmp_path):
@@ -406,6 +416,12 @@ X4_SCAN = ["recurrence-scan", "--table-limit", "300000", "--config"]
            "--domain", "integers"], "exceeds the compensated range (2^70)"),
     _case(["vaughan-check", "--X", "1000", "--u", "10", "--v", "10",
            "--phase", "x^(100000)"], "exceeds the compensated range (2^70)"),
+    _case(["bound-check", "--which", "vdc", "--N", "-5"]),
+    # 8·10^18 bytes of index array: the allocation fails at once.
+    _case(["ud-test", "--expr", "x^(1/2)", "--domain", "integers",
+           "--N", "1000000000000000000"], "error: out of memory"),
+    _case(["weyl-sum", "--expr", "x^(1/2)", "--domain", "integers",
+           "--range", "2", "1000000000000000000"], "error: out of memory"),
     _case(X4_SCAN + ["x4_20000.cfg"], "exceeds the compensated range (2^70)"),
     _case(X4_SCAN + ["x4_10000.cfg"], "floor exceeds the int64 range"),
     *(_unread(cmd, flag, "3", *rest)
@@ -423,7 +439,8 @@ def test_invalid_flags_exit_2(argv, message, capsys, tmp_path, monkeypatch):
     for N in (10_000, 20_000):
         (tmp_path / f"x4_{N}.cfg").write_text(LATTICE_X4.format(N=N))
     assert run_cli(*argv) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 # A sample clustered near 0 (D* = 0.99): with every harmonic zeroed, the

@@ -114,8 +114,8 @@ def test_empty_prime_window(table100k):
     assert res.count == 0 and res.sum == 0j and res.normalized == 0.0
 
 
-def test_erdos_turan_accepts_provider_callable():
-    rep = erdos_turan_bound(lambda: np.array([0.1, 0.4, 0.9]), 5)
+def test_erdos_turan_three_points():
+    rep = erdos_turan_bound(np.array([0.1, 0.4, 0.9]), 5)
     assert rep.holds
 
 
@@ -149,15 +149,14 @@ def test_kusmin_landau_full_period():
 
 
 def test_vdc_constant_sequence():
-    rep = vdc_inequality_check(lambda ns: np.ones(len(ns), dtype=complex), 1, 0, 100)
+    rep = vdc_inequality_check(np.ones(100, dtype=complex), 1)
     assert rep.actual == pytest.approx(100.0**2)
     assert rep.bound == pytest.approx(101.0 * 100.0)
     assert rep.holds
 
 
 def test_vdc_rotation_sequence():
-    xi = lambda ns: e(0.6180339887 * ns)
-    rep = vdc_inequality_check(xi, 10, 0, 100)
+    rep = vdc_inequality_check(e(0.6180339887 * np.arange(1, 101)), 10)
     assert rep.holds
 
 
@@ -166,21 +165,21 @@ def test_vdc_randomized_trials(rng):
         N = int(rng.integers(2, 150))
         H = int(rng.integers(1, 25))
         vals = np.exp(2j * np.pi * rng.random(N))
-        rep = vdc_inequality_check(lambda ns, v=vals: v[ns - 1], H, 0, N)
+        rep = vdc_inequality_check(vals, H)
         assert rep.holds
 
 
 def test_vdc_shift_exceeding_interval():
     # H larger than the interval: shifted sums are empty (= 0 by convention)
-    rep = vdc_inequality_check(lambda ns: np.ones(len(ns), dtype=complex), 50, 0, 3)
+    rep = vdc_inequality_check(np.ones(3, dtype=complex), 50)
     assert rep.holds
 
 
 def test_vdc_validates():
     with pytest.raises(ValueError):
-        vdc_inequality_check(lambda ns: ns, 0, 0, 10)
+        vdc_inequality_check(np.ones(10, dtype=complex), 0)
     with pytest.raises(ValueError):
-        vdc_inequality_check(lambda ns: ns, 1, 5, 5)
+        vdc_inequality_check(np.ones(0, dtype=complex), 1)
 
 
 # -- iterated shift bound --------------------------------------------------------------

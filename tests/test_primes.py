@@ -153,10 +153,16 @@ def _factor(n):
     return out
 
 
-def _check_lam_mu(t, n):
+def _lam_mu(n):
+    """(Lambda(n), mu(n)) by trial division."""
     f = _factor(n)
     lam = math.log(next(iter(f))) if len(f) == 1 else 0.0
     mu = 0 if any(k > 1 for k in f.values()) else (-1) ** len(f)
+    return lam, mu
+
+
+def _check_lam_mu(t, n):
+    lam, mu = _lam_mu(n)
     assert t.lam[n] == pytest.approx(lam, rel=1e-15, abs=0), n
     assert t.mobius[n] == mu, n
 
@@ -187,23 +193,6 @@ def test_arith_tables_past_sqrt_limit(rng):
         _check_lam_mu(t, n)
 
 
-def test_vaughan_reuses_a_larger_table(arith10k, monkeypatch):
-    built = []
-
-    def counted(limit):
-        built.append(limit)
-        return arith_tables(limit)
-
-    def g(ns):
-        return np.exp(0.37j * ns)
-
-    monkeypatch.setattr("primeud.primes.arith_tables", counted)
-    rep = vaughan_decompose(g, 2_000, 7, 7, tables=arith10k)
-    assert built == [] and rep.relative_residual < 1e-9
-    vaughan_decompose(g, 2_000, 7, 7, tables=arith_tables(100))
-    assert built == [2_000]
-
-
 def test_lambda_sq_window(arith100k):
     # sum_{y<=n<=2y} Lambda^2(n) / (y log y) stays in a recorded window
     lam = arith100k.lam
@@ -216,30 +205,25 @@ def test_lambda_sq_window(arith100k):
 # -- identities ---------------------------------------------------------------------
 
 
-def test_vaughan_constant_g(arith10k):
-    rep = vaughan_decompose(lambda ns: np.ones(len(ns), dtype=complex),
-                            10, 2, 2, tables=arith10k)
+def test_vaughan_constant_g():
+    rep = vaughan_decompose(np.ones(11, dtype=complex), 2, 2)
     # direct oracle: sum over (v, X] of Lambda(n) = 2 log 2 + 2 log 3 + log 5 + log 7
     oracle = 2 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
     assert rep.lhs.real == pytest.approx(oracle, abs=1e-12)
     assert rep.residual < 1e-12
 
 
-def test_vaughan_zero_g(arith10k):
-    rep = vaughan_decompose(lambda ns: np.zeros(len(ns), dtype=complex),
-                            100, 3, 3, tables=arith10k)
+def test_vaughan_zero_g():
+    rep = vaughan_decompose(np.zeros(101, dtype=complex), 3, 3)
     assert rep.t1 == rep.t2 == rep.t3 == rep.lhs == 0j
 
 
-def test_vaughan_linear_phase(arith10k):
-    def g(ns):
-        return np.exp(2j * np.pi * 0.37 * ns)
-
-    rep = vaughan_decompose(g, 500, 5, 5, tables=arith10k)
+def test_vaughan_linear_phase():
+    rep = vaughan_decompose(np.exp(2j * np.pi * 0.37 * np.arange(501)), 5, 5)
     assert rep.residual < 1e-9
 
 
-def test_vaughan_randomized_instances(arith10k, rng):
+def test_vaughan_randomized_instances(rng):
     for _ in range(20):
         X = int(rng.integers(20, 2000))
         u = int(rng.integers(1, 21))
@@ -247,28 +231,68 @@ def test_vaughan_randomized_instances(arith10k, rng):
         X = max(X, v)
         phases = rng.random(X + 1)
         tbl = np.exp(2j * np.pi * phases)
-        rep = vaughan_decompose(lambda ns, t=tbl: t[ns], X, u, v, tables=arith10k)
+        rep = vaughan_decompose(tbl, u, v)
         assert rep.relative_residual < 1e-9
 
 
-def test_vaughan_validates_inputs(arith10k):
+def _vaughan_terms_by_definition(g, u, v):
+    """T1, T2, T3 of the bilinear decomposition, summed term by term from
+    their definitions with Lambda and mu by trial division."""
+    X = len(g) - 1
+    lam = [0.0] + [_lam_mu(n)[0] for n in range(1, X + 1)]
+    mu = {d: _lam_mu(d)[1] for d in range(1, u + 1)}
+    t1 = sum(mu[d] * math.log(m) * g[d * m]
+             for d in range(1, u + 1) for m in range(1, X // d + 1))
+    a = {}
+    for d in range(1, u + 1):
+        for n in range(1, v + 1):
+            a[d * n] = a.get(d * n, 0.0) + mu[d] * lam[n]
+    t2 = sum(a.get(m, 0.0) * g[m * r]
+             for m in range(1, min(u * v, X) + 1) for r in range(1, X // m + 1))
+    t3 = 0j
+    for m in range(u + 1, X + 1):
+        b = sum(mu[d] for d in range(1, u + 1) if m % d == 0)
+        for n in range(v + 1, X // m + 1):
+            t3 += b * lam[n] * g[m * n]
+    return complex(t1), complex(t2), complex(t3)
+
+
+@pytest.mark.parametrize("X, u, v", [
+    (40, 3, 40),     # X = v: T3 has no n in (v, X/m]
+    (150, 20, 10),   # X < u*v: a(m) is cut at X
+    (300, 60, 4),    # u > X/(v+1): no m > u has an n > v
+    (30, 45, 2),     # u > X: mu(d) for d > X adds nothing
+    (400, 7, 9),
+    (397, 11, 13),
+])
+def test_vaughan_terms_match_definitions(X, u, v, rng):
+    g = np.exp(2j * np.pi * rng.random(X + 1))
+    rep = vaughan_decompose(g, u, v)
+    t1, t2, t3 = _vaughan_terms_by_definition(g.tolist(), u, v)
+    assert abs(rep.t1 - t1) < 1e-12
+    assert abs(rep.t2 - t2) < 1e-12
+    assert abs(rep.t3 - t3) < 1e-12
+    assert rep.relative_residual < 1e-9
+
+
+def test_vaughan_validates_inputs():
     with pytest.raises(ValueError):
-        vaughan_decompose(lambda ns: ns, 10, 0, 2, tables=arith10k)
+        vaughan_decompose(np.zeros(11, dtype=complex), 0, 2)
     with pytest.raises(ValueError):
-        vaughan_decompose(lambda ns: ns, 3, 2, 5, tables=arith10k)
+        vaughan_decompose(np.zeros(4, dtype=complex), 2, 5)
 
 
 # -- partial summation ----------------------------------------------------------------
 
 
 def test_partial_summation_constant_a():
-    rep = partial_summation_check(lambda n: 1.0, lambda n: n * n, 1, 10)
+    rep = partial_summation_check(np.ones(10), np.arange(1, 11) ** 2)
     assert rep.lhs == rep.rhs
     assert rep.lhs == pytest.approx(sum(n * n for n in range(1, 11)))
 
 
 def test_partial_summation_arithmetic():
-    rep = partial_summation_check(lambda n: n, lambda n: 1.0, 1, 5)
+    rep = partial_summation_check(np.arange(1, 6), np.ones(5))
     assert rep.lhs == pytest.approx(15.0)
     assert rep.diff < 1e-12
 
@@ -276,15 +300,15 @@ def test_partial_summation_arithmetic():
 def test_partial_summation_random_complex(rng):
     a = rng.random(1000) + 1j * rng.random(1000)
     b = rng.random(1000) + 1j * rng.random(1000)
-    rep = partial_summation_check(a, b, 1, 1000)
+    rep = partial_summation_check(a, b)
     assert rep.diff < 1e-10
 
 
 def test_partial_summation_validates():
     with pytest.raises(ValueError):
-        partial_summation_check(lambda n: n, lambda n: n, 5, 5)
+        partial_summation_check([5], [5])
     with pytest.raises(ValueError):
-        partial_summation_check([1, 2], [1, 2, 3], 1, 3)
+        partial_summation_check([1, 2], [1, 2, 3])
 
 
 # -- prime cache ------------------------------------------------------------------------
