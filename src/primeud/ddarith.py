@@ -12,10 +12,20 @@ a plain double loses the fractional part of v once |v| grows (at 2^45 only
 106 - log2|v| of them.  A compensated phase evaluation is measured to err by
 about 5e-11 at 2^70 and 1.7e-5 at 2^88, so ``hardy.COMPENSATED_LIMIT``
 admits phase values up to 2^70 only.
+
+The kernels, with their worst relative error measured against 50-digit
+mpmath: ``dd_sqrt`` is the QD library's one-correction square root (Hida,
+Li & Bailey 2001), bit-equal to a full dd Newton step on 2..2*10^5;
+``dd_pow_frac`` builds x^(p/q) as x^k (x^(1/q))^r from one square root per
+factor 2 of q and a two-step dd Newton root for the odd part (6.3e-32 for
+q <= 4, |p| <= 7 on [2, 2^40]); ``dd_log`` is Tang's table-driven method
+(ACM TOMS 1990), 128 cells per octave and a 7-term atanh series (1.3e-32
+relative, 2.0e-31 absolute on [2, 2^52]).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -148,26 +158,29 @@ def as_dd(x) -> DD:
 
 
 def dd_sqrt(x) -> DD:
-    """Double-double square root via one full-precision Newton step."""
+    """Double-double square root, as sqrt(dd_real) of the QD library: one
+    correction of the correctly rounded y = sqrt(hi), y + (a - y^2) / (2 y),
+    with y^2 exact by two_prod and the correction in plain double."""
     a = as_dd(x)
-    y0 = np.sqrt(a.hi)
-    y = DD(y0)
-    # y += (a - y^2) / (2 y); doubles the correct digits of the seed
-    return y + (a - y * y) / (y * 2.0)
+    y = np.sqrt(a.hi)
+    p, e = two_prod(y, y)
+    r = ((a.hi - p) - e) + a.lo  # a.hi - p is exact (Sterbenz)
+    return DD._raw(*quick_two_sum(y, r / (y * 2.0)))
 
 
 def dd_ipow(base: DD, n: int) -> DD:
     """Integer power by binary exponentiation; n >= 0."""
     if n < 0:
         raise ValueError("dd_ipow expects n >= 0")
-    result = DD(np.ones_like(base.hi))
+    result = None
     acc = base
     while n:
         if n & 1:
-            result = result * acc
-        acc = acc * acc
+            result = acc if result is None else result * acc
         n >>= 1
-    return result
+        if n:
+            acc = acc * acc
+    return DD(np.ones_like(base.hi)) if result is None else result
 
 
 def dd_nroot(a: DD, q: int) -> DD:
@@ -180,18 +193,29 @@ def dd_nroot(a: DD, q: int) -> DD:
     return y
 
 
-def dd_pow_frac(x: np.ndarray, theta: Fraction) -> DD:
-    """x**theta for exact-double x > 0 and rational theta."""
-    p = theta.numerator
+def dd_pow_frac(x: np.ndarray, theta: Fraction, root: DD | None = None) -> DD:
+    """x**theta for exact-double x > 0 and rational theta = p/q.
+
+    Built as x^k * (x^(1/q))^r with p = k q + r, 0 <= r < q.  The root takes
+    one dd_sqrt per factor 2 of q and dd_nroot for the odd part; a caller
+    that evaluates several terms of one denominator passes it as root.
+    """
+    x = np.asarray(x, dtype=np.float64)
     q = theta.denominator
-    if p == 0:
-        return DD(np.ones_like(np.asarray(x, dtype=np.float64)))
-    a = dd_ipow(DD(x), abs(p))
-    if q > 1:
-        a = dd_nroot(a, q)
-    if p < 0:
-        a = DD(np.ones_like(a.hi)) / a
-    return a
+    k, r = divmod(theta.numerator, q)
+    if r == 0:
+        a = dd_ipow(DD(x), abs(k))
+        return DD(np.ones_like(x)) / a if k < 0 else a
+    if root is None:
+        root = DD(x)
+        while q % 2 == 0:
+            root, q = dd_sqrt(root), q // 2
+        if q > 1:
+            root = dd_nroot(root, q)
+    a = dd_ipow(root, r)
+    if k > 0:
+        return a * dd_ipow(DD(x), k)
+    return a / dd_ipow(DD(x), -k) if k < 0 else a
 
 
 # -- logarithm ---------------------------------------------------------------
@@ -199,37 +223,71 @@ def dd_pow_frac(x: np.ndarray, theta: Fraction) -> DD:
 _SQRT_HALF = 0.7071067811865476
 
 # 40+ digit decimal strings, rounded to double-double at import.
-LN2 = DD.from_decimal("0.6931471805599453094172321214581765680755001343602552541")
+_LN2_DIGITS = "0.6931471805599453094172321214581765680755001343602552541"
+LN2 = DD.from_decimal(_LN2_DIGITS)
 PI = DD.from_decimal("3.1415926535897932384626433832795028841971693993751058210")
 E = DD.from_decimal("2.7182818284590452353602874713526624977572470936999595750")
 TWO_PI = PI * 2.0
 
-# atanh series coefficients 1/(2k+1); |z| <= 0.1716 needs 22 terms for 1e-33.
+# ln 2 = _LN2_HI + _LN2_LO with _LN2_HI on 40 bits, so e * _LN2_HI is exact
+# for every binary exponent e of a double.
+_LN2_HI = math.ldexp(round(math.ldexp(float(LN2), 40)), -40)
+_LN2_LO = DD.from_fraction(Fraction(_LN2_DIGITS) - Fraction(_LN2_HI))
+
+# atanh series coefficients 1/(2k+1).
 _ATANH_COEF = [DD.from_fraction(Fraction(1, 2 * k + 1)) for k in range(22)]
+
+
+def _log_atanh(num: np.ndarray, den: DD, dd_terms: int,
+               float_terms: int = 0) -> DD:
+    """log((den + num) / (den - num)) = 2 atanh(z), z = num / den, by the
+    odd series sum z^(2k+1) / (2k+1) over k < dd_terms + float_terms; the
+    last float_terms terms, too small to need a low word, sum in double."""
+    q = num / den.hi  # z = num / den: one correction of the double quotient
+    p, e = two_prod(q, den.hi)
+    r = ((num - p) - e) - q * den.lo  # num - p is exact (Sterbenz)
+    z = DD._raw(*quick_two_sum(q, r / den.hi))
+    z2 = z * z
+    tail = np.zeros_like(num)
+    for c in reversed(_ATANH_COEF[dd_terms:dd_terms + float_terms]):
+        tail = float(c) + z2.hi * tail
+    acc = DD(tail)
+    for c in reversed(_ATANH_COEF[:dd_terms]):
+        acc = acc * z2 + c
+    s = z * acc
+    return s + s
+
+
+def _fold(x: np.ndarray):
+    """x = m * 2^e with m in [sqrt(1/2), sqrt(2)); returns (m, e as float)."""
+    m, e = np.frexp(x)
+    scale = m < _SQRT_HALF
+    return np.where(scale, m * 2.0, m), (e - scale).astype(np.float64)
+
+
+# log F for the cells F = j/128 that a folded m rounds to (j = 91..181), by
+# the series at z = (F-1)/(F+1): |z| <= 0.1716 needs 22 terms for 1e-33.
+_CELL_FIRST = 91
+_CELLS = np.arange(_CELL_FIRST, 182) / 128.0
+_LOG_CELL = _log_atanh(_CELLS - 1.0, DD._raw(*two_sum(_CELLS, 1.0)), 22)
 
 
 def dd_log(x: np.ndarray) -> DD:
     """log of exact-double x > 0, accurate to ~1e-32 relative.
 
-    Reduction: x = m * 2^e with m in [sqrt(1/2), sqrt(2)), then
-    log m = 2 atanh((m-1)/(m+1)) by a 22-term odd series in dd.
+    Table-driven (Tang, ACM TOMS 1990): x = m * 2^e with m folded into
+    [sqrt(1/2), sqrt(2)), m = F (1 + f/F) with F = j/128 the nearest cell and
+    f = m - F exact, and log(1 + f/F) = 2 atanh(f / (m + F)).  There
+    |z| <= 1/362, so 7 series terms reach 1e-36: z^7/7 and smaller sum in
+    double.  Then log x = e ln 2 + log F + that, with e * _LN2_HI exact.
     """
-    x = np.asarray(x, dtype=np.float64)
-    m, e = np.frexp(x)
-    scale = m < _SQRT_HALF
-    m = np.where(scale, m * 2.0, m)
-    e = (e - scale).astype(np.float64)
-    num = DD(m - 1.0)  # exact: m within [0.70, 1.42] of 1 (Sterbenz)
-    dh, dl = two_sum(m, np.ones_like(m))
-    z = num / DD._raw(dh, dl)
-    z2 = z * z
-    acc = DD(np.full_like(m, float(_ATANH_COEF[-1].hi)))
-    acc.lo = np.full_like(m, float(_ATANH_COEF[-1].lo))
-    for c in reversed(_ATANH_COEF[:-1]):
-        acc = acc * z2 + c
-    s = z * acc
-    s = s + s
-    return LN2 * e + s
+    m, e = _fold(np.asarray(x, dtype=np.float64))
+    j = np.rint(m * 128.0)
+    cell = j / 128.0
+    s = _log_atanh(m - cell, DD._raw(*two_sum(m, cell)), 3, 4)
+    idx = j.astype(np.intp) - _CELL_FIRST
+    log_cell = DD._raw(_LOG_CELL.hi[idx], _LOG_CELL.lo[idx])
+    return (_LN2_LO * e + log_cell + s) + _LN2_HI * e
 
 
 # -- floors and fractional parts ---------------------------------------------

@@ -73,11 +73,14 @@ def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
             acc = acc * base
             cols.append(acc.copy())
     events = 0
-    for expr in spec.exprs:
-        _check_magnitude(expr, float(ps[-1]))
-        parts = _evaluate_chunks(expr, ps, lambda v: floor_with_boundary(v, tol))
-        events += sum(ev for _, ev in parts)
-        cols.append(np.concatenate([fl for fl, _ in parts]))
+    if spec.exprs:
+        for expr in spec.exprs:
+            _check_magnitude(expr, float(ps[-1]))
+        parts = _evaluate_chunks(
+            spec.exprs, ps, lambda vs: [floor_with_boundary(v, tol) for v in vs])
+        for i in range(len(spec.exprs)):
+            events += sum(part[i][1] for part in parts)
+            cols.append(np.concatenate([part[i][0] for part in parts]))
     d = np.stack(cols, axis=1)
     if spec.L is not None:
         L = np.asarray(spec.L, dtype=np.int64)
@@ -94,6 +97,19 @@ def prime_index_sequence(exprs: Sequence[HardyExpr], n_max: int,
     """d_n = ([xi_1(p_n)], ..., [xi_k(p_n)]) for n = 1..n_max."""
     spec = SequenceSpec(exprs=tuple(exprs))
     return index_vectors(spec, n_max, table, tol)
+
+
+def _weighted_sum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d @ w for an integer (N x k) matrix d and a float (k,) vector or
+    (k x m) matrix w, as the products summed in index order by elementwise
+    numpy.  numpy rounds a multiply and an add separately, where a BLAS
+    kernel may fuse them by CPU, so the bits are the same on every CPU."""
+    out = np.multiply.outer(d[:, 0], w[0])
+    term = np.empty_like(out)
+    for i in range(1, d.shape[1]):
+        np.multiply.outer(d[:, i], w[i], out=term)
+        out += term
+    return out
 
 
 # -- diagonal unitary systems ------------------------------------------------------
@@ -153,7 +169,6 @@ def ergodic_average(sys: DiagonalUnitarySystem, exprs: Sequence[HardyExpr],
     if len(exprs) != sys.k:
         raise ValueError(f"system has k={sys.k} operators, {len(exprs)} exprs given")
     d, events = prime_index_sequence(exprs, N, table)
-    df = d.astype(np.float64)
     invariant = sys.invariant_rows
     avg = np.zeros(sys.dim, dtype=complex)
     proj = np.where(invariant, sys.f, 0.0)
@@ -161,11 +176,12 @@ def ergodic_average(sys: DiagonalUnitarySystem, exprs: Sequence[HardyExpr],
         if invariant[j]:
             avg[j] = sys.f[j]
             continue
-        phase = df @ sys.frequencies[j]
+        phase = _weighted_sum(d, sys.frequencies[j])
         phase -= np.rint(phase)
         w = 2.0 * np.pi * phase
         avg[j] = (np.sum(np.cos(w)) + 1j * np.sum(np.sin(w))) / N * sys.f[j]
-    deviation = float(np.linalg.norm(avg - proj))
+    diff = avg - proj
+    deviation = math.sqrt(math.fsum(np.concatenate([diff.real**2, diff.imag**2])))
     return ErgodicAverageResult(average=avg, projection=proj,
                                 deviation=deviation, boundary_events=events)
 
@@ -244,7 +260,8 @@ def _circular_overlap(a: float, b: float, c: float, d: float,
     """Length of [a,b) intersected with the circle arc [c,d) - shift, per
     shift value.  Input intervals do not wrap; the shifted one may."""
     ell = d - c
-    u = (c - shift) % 1.0
+    u = c - shift
+    u -= np.floor(u)
     top = u + ell
     first = np.maximum(0.0, np.minimum(b, top) - np.maximum(a, u))
     wrapped = np.maximum(0.0, top - 1.0)
@@ -290,7 +307,8 @@ def torus_recurrence_average(sysm: TorusSystem, spec: SequenceSpec, N: int,
             f"spec produces {spec.output_dim} coordinates, torus has m={sysm.m}"
         )
     psi, events = index_vectors(spec, N, table)
-    shifts = (psi.astype(np.float64) @ sysm.alphas) % 1.0
+    shifts = _weighted_sum(psi, sysm.alphas)
+    shifts -= np.floor(shifts)
     vols = _overlap_volumes(sysm, shifts)
     avg = float(np.mean(vols))
     mu2 = float(sysm.mu_A) ** 2
@@ -406,7 +424,8 @@ def filtered_recurrence(target, r: int, spec: SequenceSpec, N: int,
         ref = float(target.mu_A) ** 2
         if count == 0:
             return FilteredResult(r, rel, 0, N, None, ref, None, False, events)
-        shifts = (d[keep].astype(np.float64) @ target.alphas) % 1.0
+        shifts = _weighted_sum(d[keep], target.alphas)
+        shifts -= np.floor(shifts)
         avg = float(np.mean(_overlap_volumes(target, shifts)))
         return FilteredResult(r, rel, count, N, avg, ref, avg - ref, True, events)
     if isinstance(target, LatticeSet):

@@ -309,45 +309,60 @@ class HardyExpr:
 # -- evaluation ----------------------------------------------------------------
 
 
-def evaluate_array(expr: HardyExpr, xs, precision: str = "compensated"):
+def evaluate_array(expr: HardyExpr | Sequence[HardyExpr], xs,
+                   precision: str = "compensated"):
     """Evaluate on an array of exact-double points.
 
     Returns a float64 array in ``standard`` mode and a DD in ``compensated``
     mode (the dd result keeps the fractional part of large values intact).
     Points must be > 1 when the expression carries log factors, >= 1
-    otherwise.
+    otherwise.  For a sequence of expressions the result is a list, one
+    value per expression, and the compensated terms of all of them share
+    one basis: log x once, and x^(1/q) once per denominator q, from which
+    x^(p/q) = x^k (x^(1/q))^r with p = k q + r.
     """
+    exprs = (expr,) if isinstance(expr, HardyExpr) else tuple(expr)
     xs = np.asarray(xs, dtype=np.float64)
-    lo = 1.0 if expr.has_log else 1.0 - 1e-12
+    has_log = any(e.has_log for e in exprs)
+    lo = 1.0 if has_log else 1.0 - 1e-12
     if xs.size and float(np.min(xs)) <= lo:
         raise ExprDomainError("evaluation points must be > 1 (log domain)")
     if precision == "standard":
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.zeros_like(xs)
-            logs = np.log(xs) if expr.has_log else None
-            for t in expr.terms:
-                piece = t.coeff.value * xs ** float(t.theta)
+            logs = np.log(xs) if has_log else None
+            out = []
+            for e in exprs:
+                total = np.zeros_like(xs)
+                for t in e.terms:
+                    piece = t.coeff.value * xs ** float(t.theta)
+                    if t.logpow:
+                        piece = piece * logs ** t.logpow
+                    total += piece
+                out.append(total)
+        finite = all(np.all(np.isfinite(v)) for v in out)
+    elif precision == "compensated":
+        logs = dd_log(xs) if has_log else None
+        roots = {q: dd_pow_frac(xs, Fraction(1, q))
+                 for q in {t.theta.denominator for e in exprs for t in e.terms}
+                 if q > 1}
+        out = []
+        for e in exprs:
+            total = DD(np.zeros_like(xs))
+            for t in e.terms:
+                piece = dd_pow_frac(xs, t.theta, roots.get(t.theta.denominator))
                 if t.logpow:
-                    piece = piece * logs ** t.logpow
-                out += piece
-        if not np.all(np.isfinite(out)):
-            raise OverflowError("non-finite intermediate value")
-        return out
-    if precision != "compensated":
+                    piece = piece * dd_ipow(logs, t.logpow)
+                total = total + piece * t.coeff.dd()
+            out.append(total)
+        finite = all(np.all(np.isfinite(v.hi)) for v in out)
+    else:
         raise ValueError("precision must be 'standard' or 'compensated'")
-    total = DD(np.zeros_like(xs))
-    logs = dd_log(xs) if expr.has_log else None
-    for t in expr.terms:
-        piece = dd_pow_frac(xs, t.theta)
-        if t.logpow:
-            piece = piece * dd_ipow(logs, t.logpow)
-        total = total + piece * t.coeff.dd()
-    if not np.all(np.isfinite(total.hi)):
+    if not finite:
         raise OverflowError("non-finite intermediate value")
-    return total
+    return out[0] if isinstance(expr, HardyExpr) else out
 
 
-def _evaluate_chunks(expr: HardyExpr, ns, reduce, *,
+def _evaluate_chunks(expr: HardyExpr | Sequence[HardyExpr], ns, reduce, *,
                      chunk_size: int = DEFAULT_CHUNK, threads: int = 1,
                      first: int = 0) -> list:
     """reduce(compensated expr values) for each chunk of ns, in chunk order.
@@ -356,7 +371,9 @@ def _evaluate_chunks(expr: HardyExpr, ns, reduce, *,
     is a multiple of chunk_size; an empty ns is one empty chunk.  The chunks,
     and so the arrays reduce sees, depend on chunk_size and first only: a
     thread pool runs them when threads > 1 and there is more than one, and
-    the results come back in the same order either way.
+    the results come back in the same order either way.  For a sequence of
+    expressions reduce sees the list of their values on one shared basis
+    (see evaluate_array).
     """
     ns = np.asarray(ns)
     chunks = np.split(ns, range(chunk_size - first % chunk_size, len(ns),

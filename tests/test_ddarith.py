@@ -1,5 +1,6 @@
 """Double-double kernels against an independent big-float oracle."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -107,6 +108,56 @@ def test_dd_pow_trivial():
     assert float(val.hi[0]) == 8.0 and float(val.lo[0]) == 0.0
 
 
+def _rel_err(val, exact):
+    """Largest relative error of a dd array against mpmath values."""
+    return max(abs(mpmath.mpf(float(h)) + mpmath.mpf(float(l)) - x) / abs(x)
+               for h, l, x in zip(val.hi, val.lo, exact))
+
+
+def _log_points():
+    """Integers spread over [2, 2^52], every edge (j +- 1/2)/128 * 2^e of a
+    dd_log table cell and the sqrt(1/2) fold, each with both neighbours."""
+    rng = np.random.default_rng(7)
+    spread = np.rint(np.exp(rng.uniform(math.log(2.0), 52 * math.log(2.0), 5000)))
+    edges = [(j + 0.5) / 128.0 for j in range(90, 182)] + [0.7071067811865476]
+    pts = [v * 2.0**e for v in edges for e in range(2, 53)]
+    pts += [np.nextafter(v, np.inf) for v in pts] + [np.nextafter(v, 0.0) for v in pts]
+    pts = np.unique(np.concatenate([spread, pts]))
+    return pts[(pts >= 2.0) & (pts <= 2.0**52)]
+
+
+def test_dd_log_against_mpmath_over_cells():
+    xs = _log_points()
+    assert len(xs) >= 5000
+    exact = [mpmath.log(mpmath.mpf(float(x))) for x in xs]
+    assert _rel_err(dd_log(xs), exact) < 1e-30
+
+
+@pytest.mark.parametrize("theta", [Fraction(p, q) for q in (2, 3, 4)
+                                   for p in (-5, -3, -1, 1, 3, 5, 7)],
+                         ids=str)
+def test_dd_pow_frac_roots_against_mpmath(theta):
+    rng = np.random.default_rng(theta.denominator * 100 + theta.numerator)
+    xs = np.unique(np.rint(np.exp(rng.uniform(math.log(2.0), 40 * math.log(2.0), 300))))
+    power = mpmath.mpf(theta.numerator) / theta.denominator
+    exact = [mpmath.power(mpmath.mpf(float(x)), power) for x in xs]
+    assert _rel_err(dd_pow_frac(xs, theta), exact) < 1e-30
+
+
+def _newton_sqrt(x):
+    """The former dd_sqrt: one Newton step with a dd division."""
+    a = DD(x)
+    y = DD(np.sqrt(a.hi))
+    return y + (a - y * y) / (y * 2.0)
+
+
+def test_dd_sqrt_bit_equal_to_newton_form():
+    xs = np.arange(2, 100_001, dtype=np.float64)
+    new, old = dd_sqrt(xs), _newton_sqrt(xs)
+    assert new.hi.tobytes() == old.hi.tobytes()
+    assert new.lo.tobytes() == old.lo.tobytes()
+
+
 def test_dd_sqrt_and_nroot():
     v = dd_sqrt(2.0)
     assert abs(mp(v) - mpmath.sqrt(2)) < mpmath.mpf("1e-31")
@@ -193,6 +244,7 @@ REDUCTION_CASES = [
     ("x^2*log^3", 31462, 390493821, lambda x: _MP(x) ** 2 * mpmath.log(x) ** 3),
     ("pi*x^3", 7048, 7216333, lambda x: mpmath.pi * _MP(x) ** 3),
     ("sqrt(2)*x^2", 881744, 28892980822, lambda x: mpmath.sqrt(2) * _MP(x) ** 2),
+    ("x^(5/4)", 2**32, 2**56, lambda x: _MP(x) ** (_MP(5) / 4)),
     ("irr(0.734051234)*x^(5/3)", 20196871, 5294488313616,
      lambda x: _MP("0.734051234") * mpmath.cbrt(_MP(x) ** 5)),
 ]

@@ -63,6 +63,21 @@ def test_floors_match_bigfloat_oracle(table2m):
         assert int(d[i, 0]) == fl, p
 
 
+def test_shared_basis_matches_each_expr_alone(table2m):
+    # one evaluation shares log x and x^(1/q) across the exprs; each floor
+    # column and the event count must be those of the expr on its own
+    exprs = tuple(parse_expr(s) for s in ("x^(3/2)", "x^(1/2) + log^2", "x^(5/4)"))
+    tol = 1e-3  # wide enough that every column records boundary events
+    d, events = index_vectors(SequenceSpec(exprs=exprs), 40_000, table2m, tol)
+    alone_events = []
+    for i, expr in enumerate(exprs):
+        col, ev = index_vectors(SequenceSpec(exprs=(expr,)), 40_000, table2m, tol)
+        assert np.array_equal(d[:, i], col[:, 0]), str(expr)
+        alone_events.append(ev)
+    assert min(alone_events) > 0
+    assert events == sum(alone_events)
+
+
 def test_polynomial_coordinates_with_shift(table100k):
     spec = SequenceSpec(poly_degree=2, shift=+1)
     d, _ = index_vectors(spec, 3, table100k)

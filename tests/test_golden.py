@@ -9,6 +9,9 @@ is recorded.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -17,7 +20,8 @@ import pytest
 from primeud.cli import CACHE_ENV, main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMAS = ROOT / "schemas"
 
 GOLDEN = {
     "ud_primes_checkpoints": [
@@ -91,3 +95,56 @@ def test_bound_check_results_match_schema(name):
     schema = json.loads((SCHEMAS / "bound_report.schema.json").read_text())
     blob = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     jsonschema.validate(blob["results"], schema)
+
+
+# Artifacts whose float results come from weighted sums of index vectors
+# (torus shifts, unitary phases).  Their bits must not depend on which
+# BLAS kernel the CPU selects.
+WEIGHTED_SUM_GOLDENS = ("ergodic_average", "recurrence_torus")
+
+
+def _assert_close(got, want, tol, path="results"):
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], tol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, tol, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= tol, (path, got, want)
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("name", WEIGHTED_SUM_GOLDENS)
+def test_weighted_sum_goldens_within_bound(name, tmp_path, monkeypatch):
+    """Every value within 1e-9 absolute of the golden: the bound a change
+    to the order of the weighted sums must meet before these goldens are
+    rewritten."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(GOLDEN_DIR)
+    out = tmp_path / f"{name}.json"
+    assert main(GOLDEN[name] + ["--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert got["config"] == want["config"]
+    _assert_close(got["results"], want["results"], 1e-9)
+
+
+@pytest.mark.parametrize("name", WEIGHTED_SUM_GOLDENS)
+def test_goldens_independent_of_blas_kernel(name, tmp_path):
+    """The artifact is byte-identical when OpenBLAS is made to pick its
+    Nehalem kernels, which have no fused multiply-add."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["OPENBLAS_CORETYPE"] = "Nehalem"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / f"{name}.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "primeud", *GOLDEN[name], "--out", str(out)],
+        cwd=GOLDEN_DIR, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()

@@ -456,6 +456,40 @@ def test_evaluate_chunks_values_and_threads():
     assert np.array_equal(joined[1], whole.lo)
 
 
+def test_evaluate_chunks_shared_basis_and_threads():
+    exprs = [parse_expr(s) for s in ("x^(3/2)", "x^(1/2) + log^2", "x^(5/4)")]
+    ns = np.arange(5, 2000)
+
+    def stack(vals):
+        return np.stack([np.stack([v.hi, v.lo]) for v in vals])
+
+    parts = {
+        threads: _evaluate_chunks(exprs, ns, stack, chunk_size=300,
+                                  threads=threads, first=5)
+        for threads in (1, 2)
+    }
+    assert len(parts[1]) == len(parts[2]) == 7
+    for a, b in zip(parts[1], parts[2]):
+        assert np.array_equal(a, b)
+    joined = np.concatenate(parts[1], axis=2)
+    for i, expr in enumerate(exprs):
+        alone = evaluate_array(expr, ns.astype(np.float64), "compensated")
+        assert np.array_equal(joined[i, 0], alone.hi)
+        assert np.array_equal(joined[i, 1], alone.lo)
+
+
+def test_evaluate_array_sequence_standard():
+    exprs = [parse_expr("x^(3/2)"), parse_expr("log^2")]
+    xs = np.asarray([2.0, 10.0, 1e6])
+    vals = evaluate_array(exprs, xs, "standard")
+    assert len(vals) == 2
+    for expr, v in zip(exprs, vals):
+        assert np.array_equal(v, evaluate_array(expr, xs, "standard"))
+    with pytest.raises(ExprDomainError):
+        evaluate_array([parse_expr("x^(3/2)"), parse_expr("log")],
+                       np.asarray([1.0, 2.0]))
+
+
 @pytest.mark.parametrize("literal", ["irr(0.7340512)*x^2", "x^(3/2)",
                                      "x^(1/2) + log^2"])
 def test_unit_reduction_is_pointwise(literal, rng):
