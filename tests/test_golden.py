@@ -49,6 +49,8 @@ GOLDEN = {
     "recurrence_lattice_r2": [
         "recurrence-scan", "--config", "lattice.cfg",
         "--table-limit", "1000000"],
+    "recurrence_torus_r2": [
+        "recurrence-scan", "--config", "torus_r2.cfg", "--table-limit", "1000000"],
     "fcplus_probe": [
         "fcplus-probe", "--config", "measure.cfg", "--table-limit", "1000000"],
     "ergodic_average": [
