@@ -233,6 +233,11 @@ def _cmd_ud_test(config: RunConfig) -> int:
     checkpoints = p["checkpoints"] or [p["N"]]
     if max(checkpoints) > p["N"]:
         raise UsageError("checkpoints cannot exceed N")
+    if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
+        raise UsageError("checkpoints must be strictly increasing")
+    if domain == "primes_in_ap" and not 0 <= p["residue"] < p["modulus"]:
+        raise UsageError(f"residue must lie in [0, modulus): got residue "
+                         f"{p['residue']}, modulus {p['modulus']}")
     table = None
     if domain != "integers":
         table = _get_table(config)

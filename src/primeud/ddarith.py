@@ -16,11 +16,13 @@ admits phase values up to 2^70 only.
 The kernels, with their worst relative error measured against 50-digit
 mpmath: ``dd_sqrt`` is the QD library's one-correction square root (Hida,
 Li & Bailey 2001), bit-equal to a full dd Newton step on 2..2*10^5;
-``dd_pow_frac`` builds x^(p/q) as x^k (x^(1/q))^r from one square root per
-factor 2 of q and a two-step dd Newton root for the odd part (6.3e-32 for
-q <= 4, |p| <= 7 on [2, 2^40]); ``dd_log`` is Tang's table-driven method
-(ACM TOMS 1990), 128 cells per octave and a 7-term atanh series (1.3e-32
-relative, 2.0e-31 absolute on [2, 2^52]).
+``dd_nroot`` takes the odd roots the same way, one correction of a double
+seed polished by one double Newton step (3.5e-32 for q = 3, 4.1e-32 for
+q = 5 and 5.1e-32 for q = 7 on [2, 2^52]); ``dd_pow_frac`` builds x^(p/q)
+as x^k (x^(1/q))^r from one square root per factor 2 of q and
+``dd_nroot`` for the odd part; ``dd_log`` is Tang's table-driven method
+(ACM TOMS 1990), 1024 cells per octave and a 5-term atanh series
+(1.6e-32 relative, 2.0e-31 absolute on [2, 2^52]).
 """
 
 from __future__ import annotations
@@ -184,13 +186,17 @@ def dd_ipow(base: DD, n: int) -> DD:
 
 
 def dd_nroot(a: DD, q: int) -> DD:
-    """q-th root (a > 0) from a double seed plus two dd Newton steps."""
-    y0 = np.power(a.hi, 1.0 / q)
-    y = DD(y0)
-    for _ in range(2):
-        yq1 = dd_ipow(y, q - 1)
-        y = y + (a - yq1 * y) / (yq1 * float(q))
-    return y
+    """q-th root (a > 0, q >= 2) by one correction, as dd_sqrt: the
+    seed y = hi^(1/q), polished by one Newton step in double (1/q is
+    inexact: the raw seed is up to 6.4 ulps off for q = 3 near 2^52), then
+    y + (a - y^q) / (q y^(q-1)) with y^q in dd and the correction in
+    plain double."""
+    y = np.power(a.hi, 1.0 / q)
+    y = y + (a.hi / y ** (q - 1) - y) / q
+    yq1 = dd_ipow(DD(y), q - 1)
+    yq = yq1 * y
+    r = ((a.hi - yq.hi) - yq.lo) + a.lo  # a.hi - yq.hi is exact (Sterbenz)
+    return DD._raw(*quick_two_sum(y, r / (yq1.hi * q)))
 
 
 def dd_pow_frac(x: np.ndarray, theta: Fraction, root: DD | None = None) -> DD:
@@ -238,21 +244,21 @@ _LN2_LO = DD.from_fraction(Fraction(_LN2_DIGITS) - Fraction(_LN2_HI))
 _ATANH_COEF = [DD.from_fraction(Fraction(1, 2 * k + 1)) for k in range(22)]
 
 
-def _log_atanh(num: np.ndarray, den: DD, dd_terms: int,
-               float_terms: int = 0) -> DD:
-    """log((den + num) / (den - num)) = 2 atanh(z), z = num / den, by the
-    odd series sum z^(2k+1) / (2k+1) over k < dd_terms + float_terms; the
-    last float_terms terms, too small to need a low word, sum in double."""
-    q = num / den.hi  # z = num / den: one correction of the double quotient
+def _quotient(num: np.ndarray, den: DD) -> DD:
+    """num / den for a double num, by one correction of the double quotient."""
+    q = num / den.hi
     p, e = two_prod(q, den.hi)
     r = ((num - p) - e) - q * den.lo  # num - p is exact (Sterbenz)
-    z = DD._raw(*quick_two_sum(q, r / den.hi))
+    return DD._raw(*quick_two_sum(q, r / den.hi))
+
+
+def _log_atanh(num: np.ndarray, den: DD) -> DD:
+    """log((den + num) / (den - num)) = 2 atanh(z), z = num / den, by the
+    22-term odd series sum z^(2k+1) / (2k+1) in dd: 1e-33 for |z| <= 0.1716."""
+    z = _quotient(num, den)
     z2 = z * z
-    tail = np.zeros_like(num)
-    for c in reversed(_ATANH_COEF[dd_terms:dd_terms + float_terms]):
-        tail = float(c) + z2.hi * tail
-    acc = DD(tail)
-    for c in reversed(_ATANH_COEF[:dd_terms]):
+    acc = _ATANH_COEF[-1]
+    for c in reversed(_ATANH_COEF[:-1]):
         acc = acc * z2 + c
     s = z * acc
     return s + s
@@ -265,29 +271,38 @@ def _fold(x: np.ndarray):
     return np.where(scale, m * 2.0, m), (e - scale).astype(np.float64)
 
 
-# log F for the cells F = j/128 that a folded m rounds to (j = 91..181), by
-# the series at z = (F-1)/(F+1): |z| <= 0.1716 needs 22 terms for 1e-33.
-_CELL_FIRST = 91
-_CELLS = np.arange(_CELL_FIRST, 182) / 128.0
-_LOG_CELL = _log_atanh(_CELLS - 1.0, DD._raw(*two_sum(_CELLS, 1.0)), 22)
+# log F for the cells F = j/1024 that a folded m rounds to (j = 724..1448),
+# by the series at z = (F-1)/(F+1); built at import in about 1.4 ms.
+_CELL_SCALE = 1024.0
+_CELL_FIRST = 724
+_CELLS = np.arange(_CELL_FIRST, 1449) / _CELL_SCALE
+_LOG_CELL = _log_atanh(_CELLS - 1.0, DD._raw(*two_sum(_CELLS, 1.0)))
+_THIRD = _ATANH_COEF[1]
 
 
 def dd_log(x: np.ndarray) -> DD:
     """log of exact-double x > 0, accurate to ~1e-32 relative.
 
     Table-driven (Tang, ACM TOMS 1990): x = m * 2^e with m folded into
-    [sqrt(1/2), sqrt(2)), m = F (1 + f/F) with F = j/128 the nearest cell and
-    f = m - F exact, and log(1 + f/F) = 2 atanh(f / (m + F)).  There
-    |z| <= 1/362, so 7 series terms reach 1e-36: z^7/7 and smaller sum in
-    double.  Then log x = e ln 2 + log F + that, with e * _LN2_HI exact.
+    [sqrt(1/2), sqrt(2)), m = F (1 + f/F) with F = j/1024 the nearest cell
+    and f = m - F exact, and log(1 + f/F) = 2 atanh(z), z = f / (m + F).
+    There |z| <= 2^-11.5, so 2 (z + z^3 P) with P = 1/3 + z^2/5 + z^4/7 +
+    z^6/9 reaches 1e-36; only 1/3 needs a low word, and z^3 is
+    (zh^2 by two_prod) zh with 3 zh^2 zl on its low word.  Then
+    log x = e ln 2 + log F + that, with e * _LN2_HI exact.
     """
     m, e = _fold(np.asarray(x, dtype=np.float64))
-    j = np.rint(m * 128.0)
-    cell = j / 128.0
-    s = _log_atanh(m - cell, DD._raw(*two_sum(m, cell)), 3, 4)
+    j = np.rint(m * _CELL_SCALE)
+    cell = j / _CELL_SCALE
+    z = _quotient(m - cell, DD._raw(*two_sum(m, cell)))
+    zh2, err = two_prod(z.hi, z.hi)
+    z3 = DD._raw(zh2, err) * z.hi
+    z3.lo += 3.0 * zh2 * z.lo
+    s = z + z3 * (_THIRD + zh2 * (0.2 + zh2 * (1.0 / 7.0 + zh2 / 9.0)))
     idx = j.astype(np.intp) - _CELL_FIRST
     log_cell = DD._raw(_LOG_CELL.hi[idx], _LOG_CELL.lo[idx])
-    return (_LN2_LO * e + log_cell + s) + _LN2_HI * e
+    s2 = DD._raw(s.hi * 2.0, s.lo * 2.0)  # s + s, exactly
+    return (_LN2_LO * e + log_cell + s2) + _LN2_HI * e
 
 
 # -- floors and fractional parts ---------------------------------------------

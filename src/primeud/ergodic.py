@@ -255,34 +255,37 @@ class TorusSystem:
         return sum((b.volume for b in self.boxes), Fraction(0))
 
 
-def _circular_overlap(a: float, b: float, c: float, d: float,
-                      shift: np.ndarray) -> np.ndarray:
-    """Length of [a,b) intersected with the circle arc [c,d) - shift, per
-    shift value.  Input intervals do not wrap; the shifted one may."""
-    ell = d - c
-    u = c - shift
-    u -= np.floor(u)
-    top = u + ell
-    first = np.maximum(0.0, np.minimum(b, top) - np.maximum(a, u))
-    wrapped = np.maximum(0.0, top - 1.0)
-    second = np.maximum(0.0, np.minimum(b, wrapped) - a)
-    return first + second
-
-
 def _overlap_volumes(sysm: TorusSystem, shifts: np.ndarray) -> np.ndarray:
     """vol(A intersect (A - s)) for each shift row s, exact per-dimension
-    interval bookkeeping (no sampling)."""
+    interval bookkeeping (no sampling).
+
+    Per dimension, the length of [a,b) intersected with the circle arc
+    [c,d) - s: the input intervals do not wrap, the shifted one may.  It is
+    computed in place in three buffers u, top and first.
+    """
     n = shifts.shape[0]
     total = np.zeros(n)
+    piece = np.empty(n)
+    u, top, first = np.empty(n), np.empty(n), np.empty(n)
     for b1 in sysm.boxes:
         for b2 in sysm.boxes:
-            piece = np.ones(n)
+            piece.fill(1.0)
             for dim in range(sysm.m):
-                piece *= _circular_overlap(
-                    float(b1.lo[dim]), float(b1.hi[dim]),
-                    float(b2.lo[dim]), float(b2.hi[dim]),
-                    shifts[:, dim],
-                )
+                a, b = float(b1.lo[dim]), float(b1.hi[dim])
+                c, d = float(b2.lo[dim]), float(b2.hi[dim])
+                np.subtract(c, shifts[:, dim], out=u)
+                u -= np.floor(u, out=top)
+                np.add(u, d - c, out=top)
+                np.minimum(b, top, out=first)
+                first -= np.maximum(a, u, out=u)
+                np.maximum(0.0, first, out=first)
+                top -= 1.0  # the part of the arc that wraps past 1
+                np.maximum(0.0, top, out=top)
+                np.minimum(b, top, out=top)
+                top -= a
+                np.maximum(0.0, top, out=top)
+                first += top
+                piece *= first
                 if not np.any(piece):
                     break
             total += piece

@@ -347,13 +347,15 @@ def evaluate_array(expr: HardyExpr | Sequence[HardyExpr], xs,
                  if q > 1}
         out = []
         for e in exprs:
-            total = DD(np.zeros_like(xs))
+            total = None
             for t in e.terms:
                 piece = dd_pow_frac(xs, t.theta, roots.get(t.theta.denominator))
                 if t.logpow:
                     piece = piece * dd_ipow(logs, t.logpow)
-                total = total + piece * t.coeff.dd()
-            out.append(total)
+                if t.coeff != ONE_COEFF:  # piece * 1 and 0 + piece are piece
+                    piece = piece * t.coeff.dd()
+                total = piece if total is None else total + piece
+            out.append(DD(np.zeros_like(xs)) if total is None else total)
         finite = all(np.all(np.isfinite(v.hi)) for v in out)
     else:
         raise ValueError("precision must be 'standard' or 'compensated'")

@@ -400,6 +400,14 @@ X4_SCAN = ["recurrence-scan", "--table-limit", "300000", "--config"]
     _case(UD_SMALL + ["--chunk", "-5"]),
     _case(UD_SMALL + ["--threads", "0"]),
     _case(UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "0"]),
+    _case(UD_SMALL + ["--checkpoints", "10,10"],
+          "checkpoints must be strictly increasing"),
+    _case(UD_SMALL + ["--checkpoints", "50,10"],
+          "checkpoints must be strictly increasing"),
+    _case(UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "4",
+                      "--residue", "5"], "residue must lie in [0, modulus)"),
+    _case(UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "4",
+                      "--residue", "-3"], "residue must lie in [0, modulus)"),
     _case(["bound-check", "--which", "differential", "--expr", "x^(1/2)",
            "--samples", "10,abc"]),
     _case(["ud-test", "--expr", "x^(1/2)", "--N", "10", "--table-limit", "1000",

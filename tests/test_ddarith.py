@@ -115,12 +115,15 @@ def _rel_err(val, exact):
 
 
 def _log_points():
-    """Integers spread over [2, 2^52], every edge (j +- 1/2)/128 * 2^e of a
-    dd_log table cell and the sqrt(1/2) fold, each with both neighbours."""
+    """Integers spread over [2, 2^52]; the points (j +- 1/2)/128 and the
+    sqrt(1/2) fold at every 2^e; every edge (j +- 1/2)/1024 of a dd_log
+    table cell at three exponents in turn; each with both neighbours."""
     rng = np.random.default_rng(7)
     spread = np.rint(np.exp(rng.uniform(math.log(2.0), 52 * math.log(2.0), 5000)))
     edges = [(j + 0.5) / 128.0 for j in range(90, 182)] + [0.7071067811865476]
     pts = [v * 2.0**e for v in edges for e in range(2, 53)]
+    pts += [(j + 0.5) / 1024.0 * 2.0**(2 + (j + 17 * k) % 51)
+            for j in range(723, 1449) for k in range(3)]
     pts += [np.nextafter(v, np.inf) for v in pts] + [np.nextafter(v, 0.0) for v in pts]
     pts = np.unique(np.concatenate([spread, pts]))
     return pts[(pts >= 2.0) & (pts <= 2.0**52)]
@@ -133,9 +136,9 @@ def test_dd_log_against_mpmath_over_cells():
     assert _rel_err(dd_log(xs), exact) < 1e-30
 
 
-@pytest.mark.parametrize("theta", [Fraction(p, q) for q in (2, 3, 4)
-                                   for p in (-5, -3, -1, 1, 3, 5, 7)],
-                         ids=str)
+@pytest.mark.parametrize("theta", list(dict.fromkeys(
+    Fraction(p, q) for q in (2, 3, 4, 5, 7) for p in (-5, -3, -1, 1, 3, 5, 7))),
+    ids=str)
 def test_dd_pow_frac_roots_against_mpmath(theta):
     rng = np.random.default_rng(theta.denominator * 100 + theta.numerator)
     xs = np.unique(np.rint(np.exp(rng.uniform(math.log(2.0), 40 * math.log(2.0), 300))))

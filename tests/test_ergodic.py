@@ -31,6 +31,7 @@ from primeud.ergodic import (
     residue_indicator_check,
     torus_recurrence_average,
 )
+from primeud.ergodic import _overlap_volumes
 from primeud.literals import parse_expr
 
 mpmath.mp.dps = 50
@@ -222,6 +223,61 @@ def test_wraparound_overlap_volume(table100k):
     res = torus_recurrence_average(sysm, spec, 1, table100k)
     # p = 2: shift = 1.5 mod 1 = 0.5 -> A and A - 0.5 are disjoint half-circles
     assert res.average == pytest.approx(0.0)
+
+
+def _allocating_overlap_volumes(sysm, shifts):
+    """The former _overlap_volumes, one fresh array per step."""
+    def circular_overlap(a, b, c, d, shift):
+        ell = d - c
+        u = c - shift
+        u -= np.floor(u)
+        top = u + ell
+        first = np.maximum(0.0, np.minimum(b, top) - np.maximum(a, u))
+        wrapped = np.maximum(0.0, top - 1.0)
+        second = np.maximum(0.0, np.minimum(b, wrapped) - a)
+        return first + second
+
+    n = shifts.shape[0]
+    total = np.zeros(n)
+    for b1 in sysm.boxes:
+        for b2 in sysm.boxes:
+            piece = np.ones(n)
+            for dim in range(sysm.m):
+                piece *= circular_overlap(
+                    float(b1.lo[dim]), float(b1.hi[dim]),
+                    float(b2.lo[dim]), float(b2.hi[dim]), shifts[:, dim])
+                if not np.any(piece):
+                    break
+            total += piece
+    return total
+
+
+# Boxes that touch 0 and 1, one per row; the first m columns of each.
+_F = Fraction
+_OVERLAP_BOXES = [
+    ((0, _F(1, 8), 0), (_F(3, 8), 1, 1)),
+    ((_F(1, 2), 0, _F(1, 4)), (1, _F(5, 8), _F(3, 4))),
+    ((_F(3, 8), _F(1, 3), 0), (_F(1, 2), _F(7, 9), _F(1, 5))),
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_overlap_volumes_bit_equal_to_allocating_form(m):
+    boxes = tuple(Box(lo[:m], hi[:m]) for lo, hi in _OVERLAP_BOXES)
+    sysm = TorusSystem(alphas=np.eye(m) * 0.5, boxes=boxes)
+    edges = sorted({float(v) for lo, hi in _OVERLAP_BOXES for v in lo + hi})
+    special = edges + [float(np.nextafter(1.0, 0.0))]
+    special += [float(np.nextafter(v, w)) for v in edges for w in (0.0, 1.0)
+                if 0.0 < v < 1.0]
+    grid = np.array(np.meshgrid(*[special] * m)).reshape(m, -1).T
+    rng = np.random.default_rng(m)
+    shifts = np.concatenate([grid, rng.random((4000, m))])
+    got = _overlap_volumes(sysm, shifts)
+    assert got.tobytes() == _allocating_overlap_volumes(sysm, shifts).tobytes()
+    for row in grid[:50]:  # one shift at a time takes the early break
+        one = row[None, :]
+        assert (_overlap_volumes(sysm, one).tobytes()
+                == _allocating_overlap_volumes(sysm, one).tobytes())
 
 
 def test_dimension_mismatch_rejected(table100k):

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from primeud.ddarith import frac_nearest
+from primeud.ddarith import DD, dd_ipow, dd_log, dd_pow_frac, frac_nearest
 from primeud.expsums import e
 from primeud.hardy import (
     Coefficient,
@@ -349,6 +349,35 @@ def test_standard_and_compensated_agree_at_small_scale():
     std = evaluate_array(expr, xs, "standard")
     comp = evaluate_array(expr, xs, "compensated")
     assert np.allclose(std, comp.to_float(), rtol=1e-13, atol=0)
+
+
+def _explicit_sum(exprs, xs):
+    """The compensated terms summed as 0 + piece * coeff for every term, on
+    the shared basis of evaluate_array."""
+    logs = dd_log(xs)
+    roots = {q: dd_pow_frac(xs, Fraction(1, q))
+             for q in {t.theta.denominator for e in exprs for t in e.terms} if q > 1}
+    out = []
+    for e in exprs:
+        total = DD(np.zeros_like(xs))
+        for t in e.terms:
+            piece = dd_pow_frac(xs, t.theta, roots.get(t.theta.denominator))
+            if t.logpow:
+                piece = piece * dd_ipow(logs, t.logpow)
+            total = total + piece * t.coeff.dd()
+        out.append(total)
+    return out
+
+
+def test_unit_coefficients_bit_equal_to_explicit_sum():
+    exprs = [parse_expr(s) for s in (
+        "x^(3/2)", "x^(1/2) + log^2", "x^(5/4)", "x^(5/3)", "log",
+        "x^2*log^3", "x^(3/2) + 2/7*x + sqrt(2)*log", "x^(1/3) + 1")]
+    rng = np.random.default_rng(11)
+    xs = np.unique(np.rint(np.exp(rng.uniform(math.log(2.0), 30 * math.log(2.0), 3000))))
+    for got, want in zip(evaluate_array(exprs, xs), _explicit_sum(exprs, xs)):
+        assert got.hi.tobytes() == want.hi.tobytes()
+        assert got.lo.tobytes() == want.lo.tobytes()
 
 
 # -- differential inequality report -----------------------------------------------
