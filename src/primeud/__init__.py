@@ -46,7 +46,6 @@ from .discrepancy import (
     fractional_parts,
     joint_weyl_test,
     star_discrepancy,
-    ud_along_ap,
 )
 from .ergodic import (
     Box,
@@ -59,7 +58,6 @@ from .ergodic import (
     fcplus_probe,
     filtered_recurrence,
     lattice_recurrence_scan,
-    prime_index_sequence,
     residue_indicator_check,
     torus_recurrence_average,
 )

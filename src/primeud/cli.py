@@ -236,8 +236,10 @@ def _cmd_ud_test(config: RunConfig) -> int:
     if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         raise UsageError("checkpoints must be strictly increasing")
     if domain == "primes_in_ap" and not 0 <= p["residue"] < p["modulus"]:
+        hint = ("; --domain primes_in_ap takes --modulus M --residue R"
+                if p["modulus"] == 1 else "")
         raise UsageError(f"residue must lie in [0, modulus): got residue "
-                         f"{p['residue']}, modulus {p['modulus']}")
+                         f"{p['residue']}, modulus {p['modulus']}{hint}")
     table = None
     if domain != "integers":
         table = _get_table(config)
@@ -577,12 +579,12 @@ def _add_common(sp, *groups):
                     choices=["json", "csv", "plotdata"], dest="fmt",
                     help="default: inferred from --out extension, else json")
     if "seed" in groups:
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=RunConfig.seed)
     if "chunks" in groups:
-        sp.add_argument("--threads", type=_positive_int, default=1)
-        sp.add_argument("--chunk", type=_positive_int, default=DEFAULT_CHUNK)
+        sp.add_argument("--threads", type=_positive_int, default=RunConfig.threads)
+        sp.add_argument("--chunk", type=_positive_int, default=RunConfig.chunk)
     if "table" in groups:
-        sp.add_argument("--table-limit", type=int, default=2_000_000)
+        sp.add_argument("--table-limit", type=int, default=RunConfig.table_limit)
     if "cache" in groups:
         sp.add_argument("--cache", default=None,
                         help="prime cache path (default under $%s)" % CACHE_ENV)
@@ -677,27 +679,20 @@ _HANDLERS = {
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    skip = {"command", "out", "fmt", "seed", "threads", "chunk", "table_limit"}
-    params = {k: v for k, v in vars(args).items() if k not in skip}
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "fmt", None)
+    """The run flags a subparser defines go to their RunConfig fields, the
+    rest to ``parameters``; a flag it lacks keeps the RunConfig default."""
+    params = dict(vars(args))
+    command, out, fmt = params.pop("command"), params.pop("out"), params.pop("fmt")
+    run_flags = {k: params.pop(k) for k in ("seed", "threads", "chunk", "table_limit")
+                 if k in params}
+    if command == "sieve":
+        run_flags["table_limit"] = params.pop("limit")
     if fmt is None:
         suffix = os.path.splitext(out)[1].lower() if out else ""
         fmt = {".csv": "csv", ".dat": "plotdata", ".plot": "plotdata"}.get(
             suffix, "json")
-    cfg = RunConfig(
-        command=args.command,
-        parameters=params,
-        seed=getattr(args, "seed", 0),
-        output=out,
-        fmt=fmt,
-        threads=getattr(args, "threads", 1),
-        chunk=getattr(args, "chunk", DEFAULT_CHUNK),
-        table_limit=getattr(args, "table_limit", 2_000_000),
-    )
-    if args.command == "sieve":
-        cfg.table_limit = params.pop("limit")
-    return cfg
+    return RunConfig(command=command, parameters=params, output=out, fmt=fmt,
+                     **run_flags)
 
 
 def run(config: RunConfig) -> int:

@@ -233,7 +233,6 @@ _LN2_DIGITS = "0.6931471805599453094172321214581765680755001343602552541"
 LN2 = DD.from_decimal(_LN2_DIGITS)
 PI = DD.from_decimal("3.1415926535897932384626433832795028841971693993751058210")
 E = DD.from_decimal("2.7182818284590452353602874713526624977572470936999595750")
-TWO_PI = PI * 2.0
 
 # ln 2 = _LN2_HI + _LN2_LO with _LN2_HI on 40 bits, so e * _LN2_HI is exact
 # for every binary exponent e of a double.

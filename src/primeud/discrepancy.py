@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expsums import erdos_turan_bound, weyl_moduli
+from .expsums import _circle_sum, erdos_turan_bound, weyl_moduli
 from .errors import GateError
 from .hardy import (BOUNDARY_TOL, DEFAULT_CHUNK, HardyExpr, _check_magnitude,
                     _evaluate_chunks)
@@ -187,14 +187,6 @@ def equidistribution_report(expr: HardyExpr, q: int, domain: str, N: int,
                               with_extreme=with_extreme)
 
 
-def ud_along_ap(expr: HardyExpr, q_exp: int, modulus: int, residue: int,
-                N: int, table: PrimeTable, **kw) -> DiscrepancyReport:
-    """Discrepancy report for {q_exp * expr(p)} over the first N primes
-    congruent to residue mod modulus (gcd(residue, modulus) = 1)."""
-    return equidistribution_report(expr, q_exp, "primes_in_ap", N, table,
-                                   modulus=modulus, residue=residue, **kw)
-
-
 # -- joint equidistribution via finite frequency sets ---------------------------------
 
 
@@ -229,8 +221,7 @@ def joint_weyl_test(family: Sequence[HardyExpr], poly_part: Sequence[HardyExpr],
                 combo = combo + g.scale(coeff)
         sample = fractional_parts(combo, 1, domain, N, table,
                                   chunk_size=chunk_size, threads=threads)
-        w = 2.0 * np.pi * sample.points
-        m = float(abs(np.sum(np.cos(w)) + 1j * np.sum(np.sin(w)))) / N
+        m = float(abs(_circle_sum(sample.points))) / N
         results.append((vec, m))
         worst = max(worst, m)
     return JointWeylResult(max_modulus=worst, per_vector=tuple(results))

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .ddarith import floor_with_boundary
+from .expsums import _circle_sum
 from .hardy import BOUNDARY_TOL, HardyExpr, _check_magnitude, _evaluate_chunks
 from .primes import PrimeTable
 
@@ -71,7 +72,7 @@ def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
         acc = np.ones_like(base)
         for _ in range(spec.poly_degree):
             acc = acc * base
-            cols.append(acc.copy())
+            cols.append(acc)
     events = 0
     if spec.exprs:
         for expr in spec.exprs:
@@ -90,13 +91,6 @@ def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
             )
         d = d @ L.T
     return d, events
-
-
-def prime_index_sequence(exprs: Sequence[HardyExpr], n_max: int,
-                         table: PrimeTable, tol: float = BOUNDARY_TOL):
-    """d_n = ([xi_1(p_n)], ..., [xi_k(p_n)]) for n = 1..n_max."""
-    spec = SequenceSpec(exprs=tuple(exprs))
-    return index_vectors(spec, n_max, table, tol)
 
 
 def _weighted_sum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -168,7 +162,7 @@ def ergodic_average(sys: DiagonalUnitarySystem, exprs: Sequence[HardyExpr],
     """
     if len(exprs) != sys.k:
         raise ValueError(f"system has k={sys.k} operators, {len(exprs)} exprs given")
-    d, events = prime_index_sequence(exprs, N, table)
+    d, events = index_vectors(SequenceSpec(exprs=tuple(exprs)), N, table)
     invariant = sys.invariant_rows
     avg = np.zeros(sys.dim, dtype=complex)
     proj = np.where(invariant, sys.f, 0.0)
@@ -178,8 +172,7 @@ def ergodic_average(sys: DiagonalUnitarySystem, exprs: Sequence[HardyExpr],
             continue
         phase = _weighted_sum(d, sys.frequencies[j])
         phase -= np.rint(phase)
-        w = 2.0 * np.pi * phase
-        avg[j] = (np.sum(np.cos(w)) + 1j * np.sum(np.sin(w))) / N * sys.f[j]
+        avg[j] = _circle_sum(phase) / N * sys.f[j]
     diff = avg - proj
     deviation = math.sqrt(math.fsum(np.concatenate([diff.real**2, diff.imag**2])))
     return ErgodicAverageResult(average=avg, projection=proj,
@@ -551,8 +544,7 @@ def residue_indicator_check(q: int, b: int, n: int) -> ResidueIndicatorResult:
         raise ValueError("need 1 <= b <= q")
     j = np.arange(1, q + 1, dtype=np.int64)
     residues = ((n - b) * j) % q
-    w = 2.0 * np.pi * (residues / q)
-    s = complex(np.sum(np.cos(w)) + 1j * np.sum(np.sin(w))) / q
+    s = complex(_circle_sum(residues / q)) / q
     direct = 1 if (n - b) % q == 0 else 0
     return ResidueIndicatorResult(via_sum=s, direct=direct,
                                   agreement=abs(s - direct))

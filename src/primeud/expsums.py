@@ -4,10 +4,10 @@ Kusmin-Landau, the iterated k-th-derivative bound, Erdos-Turan).
 
 Phases are reduced mod 1 in compensated arithmetic before the circular
 exponential is called, so sin/cos never see the raw magnitude of the phase.
-Sums run through ``hardy._evaluate_chunks`` and add the per-chunk sums in
-chunk order in double-double: an integer range is chunked at absolute
-multiples of the chunk size, a prime list by position in the list.  A sum is
-bit-deterministic for a given chunk size, whatever the thread count.
+Sums run through ``hardy._evaluate_chunks`` and add the per-chunk sums
+with an exactly rounded ``math.fsum``: an integer range is chunked at
+absolute multiples of the chunk size, a prime list by position in the list.
+A sum is bit-deterministic for a given chunk size, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ddarith import DD, frac_nearest
+from .ddarith import frac_nearest
 from .errors import GateError
 from .hardy import (
     DEFAULT_CHUNK,
@@ -28,10 +28,9 @@ from .hardy import (
     differentiate,
     nth_derivative,
 )
-from .primes import PrimeTable
+from .primes import PrimeTable, _fsum_complex
 
-# Safe published explicit constants; the asymptotic statements hide theirs.
-KUSMIN_LANDAU_FORM = "2/(pi*lambda) + 1"
+# A safe published explicit constant; the asymptotic statement hides it.
 ERDOS_TURAN_CONSTANT = 4.0
 DERIVATIVE_GRID = 1024  # dense sampling for lambda/alpha estimation
 
@@ -86,21 +85,15 @@ def _make_bound_report(op, actual, bound, **kw) -> BoundReport:
 # -- chunked compensated summation ------------------------------------------------
 
 
+def _circle_sum(x) -> np.complex128:
+    """sum_j e(x_j) as (sum cos) + i (sum sin) of 2 pi x."""
+    w = 2.0 * np.pi * np.asarray(x, dtype=np.float64)
+    return np.sum(np.cos(w)) + 1j * np.sum(np.sin(w))
+
+
 def _circle_sums(q: int):
-    """Per-chunk reduce: (sum cos, sum sin) of 2 pi (q * phase mod 1)."""
-    def reduce(vals) -> tuple[float, float]:
-        w = 2.0 * np.pi * frac_nearest(vals * float(q))
-        return (float(np.sum(np.cos(w))), float(np.sum(np.sin(w))))
-    return reduce
-
-
-def _reduce_ordered(parts: list[tuple[float, float]]) -> complex:
-    re = DD(0.0)
-    im = DD(0.0)
-    for r, i in parts:
-        re = re + r
-        im = im + i
-    return complex(float(re), float(im))
+    """Per-chunk reduce: the circle sum of q * phase mod 1."""
+    return lambda vals: _circle_sum(frac_nearest(vals * float(q)))
 
 
 def weyl_sum_integers(phase: HardyExpr, q: int, a: int, b: int, *,
@@ -119,7 +112,7 @@ def weyl_sum_integers(phase: HardyExpr, q: int, a: int, b: int, *,
     parts = _evaluate_chunks(phase, np.arange(a, b + 1, dtype=np.int64),
                              _circle_sums(q), chunk_size=chunk_size,
                              threads=threads, first=a)
-    return ExpSumResult.make(_reduce_ordered(parts), b - a + 1)
+    return ExpSumResult.make(_fsum_complex(parts), b - a + 1)
 
 
 def weyl_sum_primes(phase: HardyExpr, q: int, X: int, table: PrimeTable, *,
@@ -129,17 +122,15 @@ def weyl_sum_primes(phase: HardyExpr, q: int, X: int, table: PrimeTable, *,
     e(q * phase(p))."""
     if q == 0:
         raise ValueError("q must be nonzero")
-    if X > table.limit:
-        raise ValueError("X exceeds table limit")
+    hi = table.pi(X)
     _check_magnitude(phase, float(X), q)
-    hi = int(np.searchsorted(table.primes, X, side="right"))
     lo = 0
     if X0 is not None:
         lo = int(np.searchsorted(table.primes, X0, side="right"))
     ps = table.primes[lo:hi]
     parts = _evaluate_chunks(phase, ps, _circle_sums(q),
                              chunk_size=chunk_size, threads=threads)
-    return ExpSumResult.make(_reduce_ordered(parts), len(ps))
+    return ExpSumResult.make(_fsum_complex(parts), len(ps))
 
 
 # -- bound evaluators ---------------------------------------------------------------

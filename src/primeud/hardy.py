@@ -241,12 +241,6 @@ class HardyExpr:
     def zero() -> "HardyExpr":
         return HardyExpr(())
 
-    @staticmethod
-    def monomial(coeff, theta=Fraction(0), logpow=0) -> "HardyExpr":
-        if not isinstance(coeff, Coefficient):
-            coeff = Coefficient.rational(coeff)
-        return HardyExpr.build([Term(coeff, Fraction(theta), logpow)])
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -452,11 +446,6 @@ def classify_growth(expr: HardyExpr) -> GrowthType:
     if th.denominator == 1 and lp == 0:
         return GrowthType(kind="monomial", degree=int(th), leading=lead.coeff)
     return GrowthType(kind="type-l-plus", l=int(math.floor(th)), logpow=lp)
-
-
-def growth_exponent(expr: HardyExpr) -> float:
-    """beta = lim log|f| / log x (the leading power)."""
-    return float(expr.leading.theta)
 
 
 def _signature_in_window(theta: Fraction, logpow: int) -> bool:
@@ -676,7 +665,7 @@ def verify_differential_inequalities(
     g = classify_growth(expr)
     sublinear = g.kind == "log-power" or (g.kind == "type-l-plus" and g.l == 0)
     upper_window = g.kind == "type-l-plus" and (g.l or 0) >= 1
-    beta = growth_exponent(expr)
+    beta = float(expr.leading.theta)  # lim log|f| / log x
 
     derivs = [expr]
     for _ in range(j_max + 1):

@@ -106,9 +106,7 @@ def primes_in_ap(table: PrimeTable, q: int, a: int, upto: int) -> int:
         raise ValueError("q must be >= 1")
     if math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) != 1: residue class not reduced")
-    if upto > table.limit:
-        raise ValueError("x exceeds table limit")
-    ps = table.primes[: np.searchsorted(table.primes, upto, side="right")]
+    ps = table.primes[: table.pi(upto)]
     return int(np.count_nonzero(ps % q == a % q))
 
 
@@ -126,9 +124,7 @@ def ap_balance_report(table: PrimeTable, q_max: int, x: int) -> ApBalanceReport:
     balance: max over q <= q_max, gcd(a,q)=1 of |pi(x;q,a) phi(q) / pi(x) - 1|."""
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
-    if x > table.limit:
-        raise ValueError("x exceeds table limit")
-    ps = table.primes[: np.searchsorted(table.primes, x, side="right")]
+    ps = table.primes[: table.pi(x)]
     pix = len(ps)
     rows = []
     worst = (0, 0)
@@ -192,8 +188,10 @@ def arith_tables(limit: int) -> ArithTables:
 # -- exact identities -------------------------------------------------------------
 
 
-def _fsum_complex(parts: list[complex]) -> complex:
-    return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
+def _fsum_complex(parts) -> complex:
+    """Exactly rounded total of a list or array of complex values."""
+    z = np.asarray(parts, dtype=complex)
+    return complex(math.fsum(z.real), math.fsum(z.imag))
 
 
 def _csum(vals: np.ndarray) -> complex:
@@ -291,7 +289,7 @@ def partial_summation_check(a, b) -> PartialSummationReport:
     bv = np.asarray(b, dtype=complex)
     if av.ndim != 1 or av.shape != bv.shape or av.size < 2:
         raise ValueError("need two 1-D sequences of one length >= 2")
-    lhs = complex(math.fsum((av * bv).real), math.fsum((av * bv).imag))
+    lhs = _fsum_complex(av * bv)
     B = np.cumsum(bv)
     pieces = (av[:-1] - av[1:]) * B[:-1]
     rhs = complex(math.fsum(pieces.real) + (av[-1] * B[-1]).real,

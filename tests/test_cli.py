@@ -404,6 +404,8 @@ X4_SCAN = ["recurrence-scan", "--table-limit", "300000", "--config"]
           "checkpoints must be strictly increasing"),
     _case(UD_SMALL + ["--checkpoints", "50,10"],
           "checkpoints must be strictly increasing"),
+    _case(UD_SMALL + ["--domain", "primes_in_ap"],
+          "--domain primes_in_ap takes --modulus M --residue R"),
     _case(UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "4",
                       "--residue", "5"], "residue must lie in [0, modulus)"),
     _case(UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "4",

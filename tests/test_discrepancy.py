@@ -12,7 +12,6 @@ from primeud.discrepancy import (
     fractional_parts,
     joint_weyl_test,
     star_discrepancy,
-    ud_along_ap,
 )
 from primeud.hardy import HardyExpr
 from primeud.literals import parse_expr
@@ -229,27 +228,32 @@ def test_report_carries_extreme_or_sandwich(table100k):
     assert rep.star <= rep.extreme <= 2 * rep.star + 1e-12
 
 
-def test_ud_along_ap_examples(table2m):
-    rep3 = ud_along_ap(parse_expr("x^(1/2)"), 1, 4, 1, 1_000, table2m)
-    rep4 = ud_along_ap(parse_expr("x^(1/2)"), 1, 4, 1, 10_000, table2m)
+def test_primes_in_ap_report_examples(table2m):
+    rep3 = equidistribution_report(parse_expr("x^(1/2)"), 1, "primes_in_ap",
+                                   1_000, table2m, modulus=4, residue=1)
+    rep4 = equidistribution_report(parse_expr("x^(1/2)"), 1, "primes_in_ap",
+                                   10_000, table2m, modulus=4, residue=1)
     assert rep4.star < rep3.star
 
 
-def test_ud_along_ap_zero_expr(table100k):
-    rep = ud_along_ap(HardyExpr.zero(), 1, 4, 1, 100, table100k)
+def test_primes_in_ap_report_zero_expr(table100k):
+    rep = equidistribution_report(HardyExpr.zero(), 1, "primes_in_ap", 100,
+                                  table100k, modulus=4, residue=1)
     assert rep.star == pytest.approx(1.0)
 
 
-def test_ud_along_ap_trivial_modulus_matches_primes(table100k):
-    rep_ap = ud_along_ap(parse_expr("x^(1/2)"), 1, 1, 1, 2_000, table100k)
+def test_primes_in_ap_report_trivial_modulus_matches_primes(table100k):
+    rep_ap = equidistribution_report(parse_expr("x^(1/2)"), 1, "primes_in_ap",
+                                     2_000, table100k, modulus=1, residue=1)
     rep = equidistribution_report(parse_expr("x^(1/2)"), 1, "primes", 2_000,
                                   table100k)
     assert rep_ap.star == rep.star
 
 
-def test_ud_along_ap_gcd_validation(table100k):
+def test_primes_in_ap_report_gcd_validation(table100k):
     with pytest.raises(ValueError):
-        ud_along_ap(parse_expr("x^(1/2)"), 1, 4, 2, 100, table100k)
+        equidistribution_report(parse_expr("x^(1/2)"), 1, "primes_in_ap", 100,
+                                table100k, modulus=4, residue=2)
 
 
 # -- joint frequency tests -----------------------------------------------------------------

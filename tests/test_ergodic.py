@@ -27,7 +27,6 @@ from primeud.ergodic import (
     filtered_recurrence,
     index_vectors,
     lattice_recurrence_scan,
-    prime_index_sequence,
     residue_indicator_check,
     torus_recurrence_average,
 )
@@ -41,12 +40,13 @@ mpmath.mp.dps = 50
 
 
 def test_identity_sequence(table100k):
-    d, _ = prime_index_sequence([parse_expr("x")], 5, table100k)
+    d, _ = index_vectors(SequenceSpec(exprs=(parse_expr("x"),)), 5, table100k)
     assert list(d.ravel()) == [2, 3, 5, 7, 11]
 
 
 def test_sqrt_floor_first_prime(table100k):
-    d, _ = prime_index_sequence([parse_expr("x^(1/2)")], 1, table100k)
+    d, _ = index_vectors(SequenceSpec(exprs=(parse_expr("x^(1/2)"),)), 1,
+                         table100k)
     assert d[0, 0] == 1  # floor(sqrt 2)
 
 
@@ -54,7 +54,7 @@ def test_floors_match_bigfloat_oracle(table2m):
     # oracle applies the same near-integer tie-break at 50 digits; every one
     # of the first 10^4 values must agree exactly
     n = 10_000
-    d, _ = prime_index_sequence([parse_expr("x^(3/2)")], n, table2m)
+    d, _ = index_vectors(SequenceSpec(exprs=(parse_expr("x^(3/2)"),)), n, table2m)
     ps = table2m.first(n)
     for i in range(n):
         p = int(ps[i])

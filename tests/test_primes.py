@@ -16,6 +16,7 @@ from primeud.primes import (
     sieve,
     vaughan_decompose,
 )
+from primeud.primes import _fsum_complex
 
 
 def _trial_division_primes(limit):
@@ -283,6 +284,13 @@ def test_vaughan_validates_inputs():
 
 
 # -- partial summation ----------------------------------------------------------------
+
+
+def test_fsum_complex_list_and_array_exactly_rounded():
+    # a left-to-right double sum loses the 1.0 in each part
+    parts = [1e16 + 1j, 1.0 + 1e16j, -1e16 - 1e16j]
+    assert _fsum_complex(parts) == _fsum_complex(np.array(parts)) == 1.0 + 1j
+    assert _fsum_complex([]) == 0j
 
 
 def test_partial_summation_constant_a():
