@@ -290,7 +290,6 @@ def test_fsum_complex_list_and_array_exactly_rounded():
     # a left-to-right double sum loses the 1.0 in each part
     parts = [1e16 + 1j, 1.0 + 1e16j, -1e16 - 1e16j]
     assert _fsum_complex(parts) == _fsum_complex(np.array(parts)) == 1.0 + 1j
-    assert _fsum_complex([]) == 0j
 
 
 def test_partial_summation_constant_a():
