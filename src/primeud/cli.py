@@ -295,7 +295,7 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
         tbl = np.zeros(size, dtype=complex)
         np.concatenate(_evaluate_chunks(
             phase, np.arange(2, size, dtype=np.int64),
-            lambda vals: e(frac_nearest(vals)),
+            lambda vals, _: e(frac_nearest(vals)),
             chunk_size=config.chunk, threads=config.threads, first=2),
             out=tbl[2:])
     else:

@@ -123,7 +123,7 @@ def fractional_parts(expr: HardyExpr, q: int, domain: str, N: int,
         pts, events = np.zeros(len(ns)), 0
     else:
         parts = _evaluate_chunks(
-            expr, ns, lambda v: frac_unit(v * float(q), BOUNDARY_TOL),
+            expr, ns, lambda v, _: frac_unit(v * float(q), BOUNDARY_TOL),
             chunk_size=chunk_size, threads=threads)
         pts = np.concatenate([p for p, _ in parts])
         events = sum(ev for _, ev in parts)

@@ -7,6 +7,9 @@ Index sequences are d_n = (P_1(p_n + i), ..., P_l(p_n + i),
 [xi_1(p_n)], ..., [xi_k(p_n)]) with i in {-1, 0, +1}; the shift applies only
 to the polynomial coordinates, never inside xi.  Floors use the documented
 near-integer tie-break and log boundary events.
+Scans stream the index vectors chunk by chunk and hold no N-length array;
+partial sums are added exactly, so results are bit-identical for a fixed
+chunk size.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .ddarith import floor_with_boundary
-from .expsums import _circle_sum
+from .expsums import _circle_sum, e
 from .hardy import BOUNDARY_TOL, HardyExpr, _check_magnitude, _evaluate_chunks
-from .primes import PrimeTable
+from .primes import PrimeTable, _fsum_complex
 
 
 # -- index sequence generators ---------------------------------------------------
@@ -57,52 +60,58 @@ class SequenceSpec:
         return len(self.L) if self.L is not None else self.input_dim
 
 
-def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
-                  tol: float = BOUNDARY_TOL):
-    """(N x m) int64 matrix of index vectors over the first N primes, plus
-    the count of near-integer floor boundary events."""
+def _scan(stat, spec: SequenceSpec, N: int, table: PrimeTable, *, r: int = 1,
+          tol: float = BOUNDARY_TOL):
+    """([stat(block, start) per chunk], kept rows, boundary events) over the
+    first N primes, after the gates: block is a chunk's int64 index vectors
+    whose every entry r divides, and start the chunk's first position."""
     if N < 1:
         raise ValueError("N must be >= 1")
     ps = table.first(N)
-    cols = []
-    if spec.poly_degree:
-        base = ps + spec.shift
-        if spec.poly_degree * math.log2(float(max(base.max(), 2))) > 62:
-            raise OverflowError("polynomial coordinate exceeds int64")
-        acc = np.ones_like(base)
-        for _ in range(spec.poly_degree):
-            acc = acc * base
-            cols.append(acc)
-    events = 0
-    if spec.exprs:
-        for expr in spec.exprs:
-            _check_magnitude(expr, float(ps[-1]))
-        parts = _evaluate_chunks(
-            spec.exprs, ps, lambda vs: [floor_with_boundary(v, tol) for v in vs])
-        for i in range(len(spec.exprs)):
-            events += sum(part[i][1] for part in parts)
-            cols.append(np.concatenate([part[i][0] for part in parts]))
-    d = np.stack(cols, axis=1)
-    if spec.L is not None:
-        L = np.asarray(spec.L, dtype=np.int64)
-        if L.shape[1] != d.shape[1]:
-            raise ValueError(
-                f"L has {L.shape[1]} columns, sequence has {d.shape[1]} coordinates"
-            )
-        d = d @ L.T
-    return d, events
+    if spec.poly_degree and spec.poly_degree * math.log2(
+            max(int(ps[-1]) + spec.shift, 2)) > 62:
+        raise OverflowError("polynomial coordinate exceeds int64")
+    L = None if spec.L is None else np.asarray(spec.L, dtype=np.int64)
+    if L is not None and L.shape[1] != spec.input_dim:
+        raise ValueError(
+            f"L has {L.shape[1]} columns, sequence has {spec.input_dim} coordinates")
+    for expr in spec.exprs:
+        _check_magnitude(expr, float(ps[-1]))
+
+    def reduce(vals, ns):
+        floors = [floor_with_boundary(v, tol) for v in vals]
+        d = np.stack([(ns + spec.shift) ** j for j in range(1, spec.poly_degree + 1)]
+                     + [fl for fl, _ in floors], axis=1)
+        if L is not None:
+            d = d @ L.T
+        if r > 1:
+            d = d[np.all(d % r == 0, axis=1)]
+        return (stat(d, int(np.searchsorted(ps, ns[0]))), len(d),
+                sum(ev for _, ev in floors))
+
+    stats, counts, events = zip(*_evaluate_chunks(spec.exprs, ps, reduce))
+    return list(stats), sum(counts), sum(events)
 
 
-def _weighted_sum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d @ w for an integer (N x k) matrix d and a float (k,) vector or
-    (k x m) matrix w, as the products summed in index order by elementwise
-    numpy.  numpy rounds a multiply and an add separately, where a BLAS
-    kernel may fuse them by CPU, so the bits are the same on every CPU."""
+def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
+                  tol: float = BOUNDARY_TOL):
+    """(N x m) int64 index vectors over the first N primes and the count of
+    floor boundary events: the blocks of the streamed scans, concatenated."""
+    blocks, _, events = _scan(lambda d, start: d, spec, N, table, tol=tol)
+    return np.concatenate(blocks), events
+
+
+def _phase_mod1(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d @ w mod 1 in [-1/2, 1/2], where cos and sin are fastest, for an int
+    (n x k) block d and a float (k,) or (k x m) w.  Elementwise numpy sums
+    the products in index order; a BLAS kernel may fuse a multiply and an
+    add by CPU, so these bits are the same on every CPU."""
     out = np.multiply.outer(d[:, 0], w[0])
     term = np.empty_like(out)
     for i in range(1, d.shape[1]):
         np.multiply.outer(d[:, i], w[i], out=term)
         out += term
+    out -= np.rint(out, out=term)
     return out
 
 
@@ -162,17 +171,16 @@ def ergodic_average(sys: DiagonalUnitarySystem, exprs: Sequence[HardyExpr],
     """
     if len(exprs) != sys.k:
         raise ValueError(f"system has k={sys.k} operators, {len(exprs)} exprs given")
-    d, events = index_vectors(SequenceSpec(exprs=tuple(exprs)), N, table)
     invariant = sys.invariant_rows
-    avg = np.zeros(sys.dim, dtype=complex)
+    rows = np.flatnonzero(~invariant)
+    parts, _, events = _scan(
+        lambda d, start: [_circle_sum(_phase_mod1(d, sys.frequencies[j]))
+                          for j in rows],
+        SequenceSpec(exprs=tuple(exprs)), N, table)
     proj = np.where(invariant, sys.f, 0.0)
-    for j in range(sys.dim):
-        if invariant[j]:
-            avg[j] = sys.f[j]
-            continue
-        phase = _weighted_sum(d, sys.frequencies[j])
-        phase -= np.rint(phase)
-        avg[j] = _circle_sum(phase) / N * sys.f[j]
+    avg = proj.astype(complex)
+    for j, sums in zip(rows, np.array(parts).T):
+        avg[j] = _fsum_complex(sums) / N * sys.f[j]
     diff = avg - proj
     deviation = math.sqrt(math.fsum(np.concatenate([diff.real**2, diff.imag**2])))
     return ErgodicAverageResult(average=avg, projection=proj,
@@ -298,16 +306,8 @@ def torus_recurrence_average(sysm: TorusSystem, spec: SequenceSpec, N: int,
                              table: PrimeTable) -> RecurrenceResult:
     """Average over n <= N of vol(A intersect T_1^{-psi_1} ... T_m^{-psi_m} A)
     with psi = spec(p_n), against mu(A)^2."""
-    if spec.output_dim != sysm.m:
-        raise ValueError(
-            f"spec produces {spec.output_dim} coordinates, torus has m={sysm.m}"
-        )
-    psi, events = index_vectors(spec, N, table)
-    shifts = _weighted_sum(psi, sysm.alphas)
-    shifts -= np.floor(shifts)
-    vols = _overlap_volumes(sysm, shifts)
-    avg = float(np.mean(vols))
-    mu2 = float(sysm.mu_A) ** 2
+    total, _, events = _target_scan(sysm, 1, spec, N, table)
+    avg, mu2 = total / N, float(sysm.mu_A) ** 2
     return RecurrenceResult(average=avg, mu_sq=mu2, margin=avg - mu2, N=N,
                             boundary_events=events)
 
@@ -369,19 +369,9 @@ class LatticeScanResult:
 
 def lattice_recurrence_scan(E: LatticeSet, spec: SequenceSpec, N: int,
                             table: PrimeTable) -> LatticeScanResult:
-    """Density of n <= N with d_n in E - E, against density(E)^2.
-
-    Membership in E - E for periodic E is a lookup in the precomputed
-    difference mask.
-    """
-    if spec.output_dim != E.k:
-        raise ValueError("sequence dimension does not match the set")
-    d, events = index_vectors(spec, N, table)
-    diff = E.difference_mask()
-    period = np.asarray(E.period, dtype=np.int64)
-    idx = tuple((d % period).T)
-    hits = int(np.count_nonzero(diff[idx]))
-    dens = float(E.density)
+    """Density of n <= N with d_n in E - E, against density(E)^2."""
+    hits, _, events = _target_scan(E, 1, spec, N, table)
+    hits, dens = int(hits), float(E.density)
     return LatticeScanResult(hit_density=hits / N, dstar_sq=dens * dens,
                              hits=hits, N=N, boundary_events=events)
 
@@ -402,6 +392,31 @@ class FilteredResult:
     boundary_events: int = 0
 
 
+def _target_scan(target, r: int, spec: SequenceSpec, N: int, table: PrimeTable):
+    """_scan's (total, kept rows, events) for the overlap volumes
+    vol(A intersect (A - psi . alpha)) of a torus or the hits in E - E of a
+    lattice set."""
+    torus = isinstance(target, TorusSystem)
+    if not (torus or isinstance(target, LatticeSet)):
+        raise TypeError("target must be a TorusSystem or a LatticeSet")
+    dim = target.m if torus else target.k
+    if spec.output_dim != dim:
+        raise ValueError(f"spec produces {spec.output_dim} coordinates, "
+                         f"the target has dimension {dim}")
+    if torus:
+        def stat(d, start):
+            shifts = _phase_mod1(d, target.alphas)
+            return float(np.sum(_overlap_volumes(target, shifts)))
+    else:
+        diff = target.difference_mask()
+        period = np.asarray(target.period, dtype=np.int64)
+
+        def stat(d, start):
+            return int(np.count_nonzero(diff[tuple((d % period).T)]))
+    sums, count, events = _scan(stat, spec, N, table, r=r)
+    return math.fsum(sums), count, events
+
+
 def filtered_recurrence(target, r: int, spec: SequenceSpec, N: int,
                         table: PrimeTable) -> FilteredResult:
     """Recurrence average restricted to indices n whose whole vector d_n is
@@ -410,32 +425,13 @@ def filtered_recurrence(target, r: int, spec: SequenceSpec, N: int,
     scan.  An empty filtered set is reported, not raised."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    d, events = index_vectors(spec, N, table)
-    keep = np.all(d % r == 0, axis=1)
-    count = int(np.count_nonzero(keep))
-    rel = count / N
-    if isinstance(target, TorusSystem):
-        if spec.output_dim != target.m:
-            raise ValueError("dimension mismatch")
-        ref = float(target.mu_A) ** 2
-        if count == 0:
-            return FilteredResult(r, rel, 0, N, None, ref, None, False, events)
-        shifts = _weighted_sum(d[keep], target.alphas)
-        shifts -= np.floor(shifts)
-        avg = float(np.mean(_overlap_volumes(target, shifts)))
-        return FilteredResult(r, rel, count, N, avg, ref, avg - ref, True, events)
-    if isinstance(target, LatticeSet):
-        if spec.output_dim != target.k:
-            raise ValueError("dimension mismatch")
-        ref = float(target.density) ** 2
-        if count == 0:
-            return FilteredResult(r, rel, 0, N, None, ref, None, False, events)
-        diff = target.difference_mask()
-        period = np.asarray(target.period, dtype=np.int64)
-        idx = tuple((d[keep] % period).T)
-        avg = float(np.count_nonzero(diff[idx])) / count
-        return FilteredResult(r, rel, count, N, avg, ref, avg - ref, True, events)
-    raise TypeError("target must be a TorusSystem or a LatticeSet")
+    total, count, events = _target_scan(target, r, spec, N, table)
+    ref = float(target.mu_A if isinstance(target, TorusSystem)
+                else target.density) ** 2
+    if count == 0:
+        return FilteredResult(r, 0.0, 0, N, None, ref, None, False, events)
+    avg = total / count
+    return FilteredResult(r, count / N, count, N, avg, ref, avg - ref, True, events)
 
 
 # -- spectral probes ------------------------------------------------------------------
@@ -488,8 +484,7 @@ class SpectralMeasure:
             for i, v in enumerate(loc):
                 if v != 0:
                     phase += (d[:, i] % v.denominator) * (v.numerator / v.denominator)
-            w = -2.0 * np.pi * phase
-            out += mass * (np.cos(w) + 1j * np.sin(w))
+            out += mass * e(-phase) if any(loc) else mass  # e(0) = 1: no cos/sin
         for key, c in self.ac_table:
             sel = np.all(d == np.asarray(key, dtype=np.int64), axis=1)
             out[sel] += c
@@ -512,15 +507,22 @@ def fcplus_probe(sigma: SpectralMeasure, spec: SequenceSpec, N: int,
     max over the last tenth of the horizon."""
     if spec.output_dim != sigma.k:
         raise ValueError("sequence dimension does not match the measure")
-    d, events = index_vectors(spec, N, table)
-    vals = np.abs(sigma.fourier(d))
-    tail = np.maximum.accumulate(vals[::-1])[::-1]
-    checkpoints = sorted({1, N} | {min(N, 10**j) for j in range(1, 12) if 10**j <= N}
-                         | {max(1, int(0.9 * N))})
-    envelope = tuple((n, float(tail[n - 1])) for n in checkpoints)
-    final = float(tail[max(1, int(0.9 * N)) - 1])
-    return FcPlusResult(mass_at_zero=sigma.mass_at_zero, final_tail_max=final,
-                        envelope=envelope, N=N, boundary_events=events)
+    last = max(1, int(0.9 * N))
+    checkpoints = sorted({1, N, last} | {10**j for j in range(1, 12) if 10**j <= N})
+
+    def stat(d, start):
+        tail = np.maximum.accumulate(np.abs(sigma.fourier(d))[::-1])[::-1]
+        return float(tail[0]), [(n, float(tail[n - 1 - start])) for n in checkpoints
+                                if start < n <= start + len(d)]
+
+    parts, _, events = _scan(stat, spec, N, table)
+    tails, later = {}, 0.0  # the maximum over the chunks after this one
+    for top, marks in reversed(parts):
+        tails.update((n, max(v, later)) for n, v in marks)
+        later = max(top, later)
+    return FcPlusResult(mass_at_zero=sigma.mass_at_zero, final_tail_max=tails[last],
+                        envelope=tuple((n, tails[n]) for n in checkpoints),
+                        N=N, boundary_events=events)
 
 
 # -- residue indicator ----------------------------------------------------------------

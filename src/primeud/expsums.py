@@ -93,7 +93,7 @@ def _circle_sum(x) -> np.complex128:
 
 def _circle_sums(q: int):
     """Per-chunk reduce: the circle sum of q * phase mod 1."""
-    return lambda vals: _circle_sum(frac_nearest(vals * float(q)))
+    return lambda vals, _: _circle_sum(frac_nearest(vals * float(q)))
 
 
 def weyl_sum_integers(phase: HardyExpr, q: int, a: int, b: int, *,

@@ -361,7 +361,7 @@ def evaluate_array(expr: HardyExpr | Sequence[HardyExpr], xs,
 def _evaluate_chunks(expr: HardyExpr | Sequence[HardyExpr], ns, reduce, *,
                      chunk_size: int = DEFAULT_CHUNK, threads: int = 1,
                      first: int = 0) -> list:
-    """reduce(compensated expr values) for each chunk of ns, in chunk order.
+    """reduce(compensated expr values, chunk) for each chunk of ns, in order.
 
     ns is cut before every position i at which the absolute index first + i
     is a multiple of chunk_size; an empty ns is one empty chunk.  The chunks,
@@ -377,7 +377,7 @@ def _evaluate_chunks(expr: HardyExpr | Sequence[HardyExpr], ns, reduce, *,
 
     def work(chunk):
         return reduce(evaluate_array(expr, chunk.astype(np.float64),
-                                     "compensated"))
+                                     "compensated"), chunk)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

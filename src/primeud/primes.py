@@ -240,8 +240,8 @@ def vaughan_decompose(gv: np.ndarray, u: int, v: int) -> VaughanReport:
     # squarefree d <= u; a d > X adds nothing to any term
     sqfree = [int(d) for d in np.flatnonzero(mob[1 : min(u, X) + 1]) + 1]
 
-    w = lam[v + 1 :]
-    lhs = complex(math.fsum(w * gv[v + 1 :].real), math.fsum(w * gv[v + 1 :].imag))
+    nz = v + 1 + np.flatnonzero(lam[v + 1 :])  # prime powers; zeros add nothing
+    lhs = _fsum_complex(lam[nz] * gv[nz])
 
     # T1 = sum_{d<=u} mu(d) sum_{m<=X/d} log(m) g(dm)
     log_m = np.log(np.arange(1, X + 1, dtype=np.float64))

@@ -1,6 +1,7 @@
 """Finite recurrence models: floor sequences, mean averages, exact overlap
 volumes, difference-set scans, filters, and spectral probes."""
 
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from primeud.corpus import (
     torus_corpus,
     unitary_corpus,
 )
+from primeud.ddarith import floor_with_boundary
 from primeud.ergodic import (
     Box,
     DiagonalUnitarySystem,
@@ -31,6 +33,7 @@ from primeud.ergodic import (
     torus_recurrence_average,
 )
 from primeud.ergodic import _overlap_volumes
+from primeud.hardy import DEFAULT_CHUNK, evaluate_array
 from primeud.literals import parse_expr
 
 mpmath.mp.dps = 50
@@ -418,6 +421,187 @@ def test_measure_validation():
         SpectralMeasure(k=1, atoms=(((Fraction(0),), -1.0),))
     with pytest.raises(ValueError):
         SpectralMeasure(k=2, atoms=(((Fraction(0),), 1.0),))
+
+
+def test_fourier_origin_atom_adds_mass_bit_equal(rng):
+    # an atom at the origin skips cos/sin: e(0) = 1 adds exactly its mass
+    sigma = SpectralMeasure(k=2, atoms=(((0, 0), 0.5), ((_F(1, 7), _F(2, 3)), 0.25)),
+                            ac_table=(((0, 1), 0.1 + 0.2j),))
+    d = rng.integers(-10**12, 10**12, size=(20_000, 2))
+    d[:50, 0], d[:50, 1] = 0, 1  # rows that hit the density table
+    want = np.zeros(len(d), dtype=complex)
+    for loc, mass in sigma.atoms:
+        w = -2.0 * np.pi * sum((d[:, i] % v.denominator) * (v.numerator / v.denominator)
+                               for i, v in enumerate(loc) if v != 0)
+        want += mass * (np.cos(w) + 1j * np.sin(w))
+    want[:50] += 0.1 + 0.2j
+    assert sigma.fourier(d).tobytes() == want.tobytes()
+
+
+# -- streamed scans against whole-array references -------------------------------------------
+
+# Horizons around the scan's chunk size: one point short of a chunk, exactly
+# one chunk, one point into a second chunk, and two chunks plus a few points.
+_NS = (DEFAULT_CHUNK - 1, DEFAULT_CHUNK, DEFAULT_CHUNK + 1, 2 * DEFAULT_CHUNK + 7)
+_FLOORS = SequenceSpec(exprs=(parse_expr("x^(3/2)"), parse_expr("x^(5/4)")))
+# (p - 1, [sqrt p + log^2 p], [p]) mapped to 2-d; the floors of x are all
+# boundary events
+_MIXED = SequenceSpec(exprs=(parse_expr("x^(1/2) + log^2"), parse_expr("x")),
+                      poly_degree=1, shift=-1, L=((1, 1, 0), (0, 1, 1)))
+# (p, [p^(3/2)]): both even only at p = 2, so under r = 2 every chunk after
+# the first keeps no row
+_PRIME_LED = SequenceSpec(exprs=(parse_expr("x^(3/2)"),), poly_degree=1)
+_SPECS = {"floors": _FLOORS, "mixed": _MIXED}
+_TORUS = TorusSystem(alphas=np.array([[0.6180339887498949, 0.4142135623730951],
+                                      [0.7320508075688772, 0.2360679774997897]]),
+                     boxes=(Box((0, _F(1, 8)), (_F(3, 8), _F(5, 8))),
+                            Box((_F(3, 8), _F(2, 8)), (_F(7, 8), _F(6, 8)))))
+_LATTICE = LatticeSet(period=(3, 5), mask=np.array([c == "1" for c in "101001100010110"]))
+
+
+def _whole_index_vectors(spec, N, table):
+    # one floor pass over all N primes, then the polynomial powers and L
+    ps = table.first(N)
+    floors = [floor_with_boundary(v) for v in
+              evaluate_array(spec.exprs, ps.astype(np.float64), "compensated")]
+    cols = [(ps + spec.shift) ** j for j in range(1, spec.poly_degree + 1)]
+    d = np.stack(cols + [fl for fl, _ in floors], axis=1)
+    if spec.L is not None:
+        d = d @ np.asarray(spec.L, dtype=np.int64).T
+    return d, sum(ev for _, ev in floors)
+
+
+def _whole_phase(d, w):
+    # d @ w with the products added in index order, as one double each
+    return sum(np.multiply.outer(d[:, i], w[i]) for i in range(d.shape[1]))
+
+
+def _whole_torus_average(d):
+    shifts = _whole_phase(d, _TORUS.alphas)
+    return float(np.mean(_overlap_volumes(_TORUS, shifts - np.floor(shifts))))
+
+
+def _whole_hits(d):
+    period = np.asarray(_LATTICE.period)
+    return int(np.count_nonzero(_LATTICE.difference_mask()[tuple((d % period).T)]))
+
+
+@pytest.mark.parametrize("N", _NS)
+@pytest.mark.parametrize("name", sorted(_SPECS) + ["prime-led"])
+def test_index_vectors_match_whole_array(name, N, table2m):
+    spec = _SPECS.get(name, _PRIME_LED)
+    d, events = _whole_index_vectors(spec, N, table2m)
+    got, got_events = index_vectors(spec, N, table2m)
+    assert got.dtype == np.int64 and np.array_equal(got, d)
+    assert got_events == events and (events > 0) == (name == "mixed")
+
+
+@pytest.mark.parametrize("N", _NS)
+@pytest.mark.parametrize("name", sorted(_SPECS))
+def test_streamed_torus_and_lattice_match_whole_array(name, N, table2m):
+    spec = _SPECS[name]
+    d, events = _whole_index_vectors(spec, N, table2m)
+    torus = torus_recurrence_average(_TORUS, spec, N, table2m)
+    assert abs(torus.average - _whole_torus_average(d)) <= 1e-12
+    lattice = lattice_recurrence_scan(_LATTICE, spec, N, table2m)
+    assert lattice.hits == _whole_hits(d)
+    assert torus.boundary_events == lattice.boundary_events == events
+
+
+@pytest.mark.parametrize("N", _NS)
+@pytest.mark.parametrize("spec", [_FLOORS, _PRIME_LED], ids=["floors", "prime-led"])
+def test_streamed_filter_matches_whole_array(spec, N, table2m):
+    d, events = _whole_index_vectors(spec, N, table2m)
+    kept = np.all(d % 2 == 0, axis=1)
+    count = int(np.count_nonzero(kept))
+    assert 0 < count < N
+    if spec is _PRIME_LED:
+        assert count == 1 and kept[0]  # later chunks keep no row
+    torus = filtered_recurrence(_TORUS, 2, spec, N, table2m)
+    lattice = filtered_recurrence(_LATTICE, 2, spec, N, table2m)
+    for res in (torus, lattice):
+        assert res.valid and res.count == count and res.relative_density == count / N
+        assert res.boundary_events == events
+    assert abs(torus.average - _whole_torus_average(d[kept])) <= 1e-12
+    assert lattice.average == _whole_hits(d[kept]) / count
+
+
+@pytest.mark.parametrize("N", _NS)
+def test_streamed_filter_all_empty(N, table2m):
+    spec = SequenceSpec(exprs=(parse_expr("x"),), poly_degree=1)  # (p, p)
+    for target in (_TORUS, _LATTICE):
+        res = filtered_recurrence(target, 10**7, spec, N, table2m)
+        assert not res.valid and res.count == 0 and res.relative_density == 0.0
+        assert res.average is None and res.margin is None
+        assert res.boundary_events == N
+
+
+@pytest.mark.parametrize("N", _NS)
+@pytest.mark.parametrize("name", sorted(_SPECS))
+def test_streamed_fcplus_envelope_exact(name, N, table2m):
+    spec = _SPECS[name]
+    sigma = SpectralMeasure(k=2, atoms=(((0, 0), 0.5), ((_F(1, 3), _F(2, 5)), 0.5)),
+                            ac_table=(((1, 1), 0.25 + 0j),))
+    d, events = _whole_index_vectors(spec, N, table2m)
+    tail = np.maximum.accumulate(np.abs(sigma.fourier(d))[::-1])[::-1]
+    res = fcplus_probe(sigma, spec, N, table2m)
+    last = int(0.9 * N)
+    assert [n for n, _ in res.envelope] == [1, 10, 100, 1000, 10000, last, N]
+    assert res.envelope == tuple((n, float(tail[n - 1])) for n, _ in res.envelope)
+    assert res.final_tail_max == float(tail[last - 1])
+    assert res.boundary_events == events
+    assert len({v for _, v in res.envelope}) > 1
+
+
+@pytest.mark.parametrize("N", _NS)
+def test_streamed_fcplus_spike_at_the_last_prime(N, table2m):
+    # |sigma-hat| is 1/2 everywhere but at d = p_N, so every checkpoint's
+    # tail maximum comes from the last chunk, whichever chunk it lies in
+    p_last = int(table2m.first(N)[-1])
+    sigma = SpectralMeasure(k=1, atoms=(((0,), 0.5),), ac_table=(((p_last,), 0.25),))
+    res = fcplus_probe(sigma, SequenceSpec(exprs=(parse_expr("x"),)), N, table2m)
+    assert [v for _, v in res.envelope] == [0.75] * 7
+    assert res.envelope[-1][0] == N and res.boundary_events == N
+
+
+@pytest.mark.parametrize("N", _NS)
+def test_streamed_unitary_matches_whole_array(N, table2m):
+    sysm = DiagonalUnitarySystem(
+        frequencies=np.array([[0.6180339887498949, 0.25], [0.1, 0.9], [0.0, 0.0]]),
+        f=np.array([1 + 0j, 0.5 - 0.5j, 2j]))
+    d, events = _whole_index_vectors(_FLOORS, N, table2m)
+    res = ergodic_average(sysm, _FLOORS.exprs, N, table2m)
+    for j in range(2):
+        phase = _whole_phase(d, sysm.frequencies[j])
+        want = np.mean(np.exp(2j * np.pi * (phase - np.rint(phase)))) * sysm.f[j]
+        assert abs(res.average[j] - want) <= 1e-12
+    assert res.average[2] == 2j
+    assert res.boundary_events == events
+
+
+@pytest.mark.parametrize("probe", ["torus", "fcplus"])
+def test_scan_memory_flat_in_N(probe, table2m):
+    # The scans hold one chunk at a time: doubling N from 50,000 to 100,000
+    # must not add 1 MB to the traced peak (a whole-array scan holds ~78
+    # bytes per point, ~3.9 MB for the extra points).
+    if probe == "torus":
+        spec = SequenceSpec(exprs=(parse_expr("x^(3/2)"),
+                                   parse_expr("x^(1/2) + log^2")))
+        run = lambda n: torus_recurrence_average(_TORUS, spec, n, table2m)
+    else:
+        sigma = SpectralMeasure(k=1, atoms=(((0,), 0.5), ((_F(1, 100003),), 0.5)))
+        spec = SequenceSpec(exprs=(parse_expr("x^(5/3)"),))
+        run = lambda n: fcplus_probe(sigma, spec, n, table2m)
+    run(1_000)  # warm-up: first-call allocations are not the scan's
+    peaks = []
+    for n in (50_000, 100_000):
+        tracemalloc.start()
+        try:
+            run(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 # -- residue indicator -----------------------------------------------------------------------

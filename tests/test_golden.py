@@ -102,7 +102,8 @@ def test_bound_check_results_match_schema(name):
 # Artifacts whose float results come from weighted sums of index vectors
 # (torus shifts, unitary phases).  Their bits must not depend on which
 # BLAS kernel the CPU selects.
-WEIGHTED_SUM_GOLDENS = ("ergodic_average", "recurrence_torus")
+WEIGHTED_SUM_GOLDENS = ("ergodic_average", "recurrence_torus",
+                        "recurrence_torus_r2")
 
 
 def _assert_close(got, want, tol, path="results"):

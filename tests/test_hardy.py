@@ -456,7 +456,7 @@ def test_nth_derivative_matches_repeated():
 
 
 def _chunk_lengths(ns, **kw):
-    return _evaluate_chunks(parse_expr("x^(3/2)"), ns, lambda v: len(v.hi), **kw)
+    return _evaluate_chunks(parse_expr("x^(3/2)"), ns, lambda v, _: len(v.hi), **kw)
 
 
 def test_evaluate_chunks_cut_at_absolute_multiples():
@@ -468,12 +468,20 @@ def test_evaluate_chunks_cut_at_absolute_multiples():
     assert _chunk_lengths(ns[:0]) == [0]
 
 
+def test_evaluate_chunks_pass_each_chunks_integers():
+    ns = np.arange(777, 3001)
+    got = _evaluate_chunks(parse_expr("x^(3/2)"), ns, lambda v, chunk: chunk,
+                           chunk_size=1000, first=777)
+    assert [len(c) for c in got] == [223, 1000, 1000, 1]
+    assert np.array_equal(np.concatenate(got), ns)
+
+
 def test_evaluate_chunks_values_and_threads():
     expr = parse_expr("x^(1/2) + log^2")
     ns = np.arange(5, 2000)
     whole = evaluate_array(expr, ns.astype(np.float64), "compensated")
     parts = {
-        threads: _evaluate_chunks(expr, ns, lambda v: np.stack([v.hi, v.lo]),
+        threads: _evaluate_chunks(expr, ns, lambda v, _: np.stack([v.hi, v.lo]),
                                   chunk_size=300, threads=threads, first=5)
         for threads in (1, 2)
     }
@@ -489,7 +497,7 @@ def test_evaluate_chunks_shared_basis_and_threads():
     exprs = [parse_expr(s) for s in ("x^(3/2)", "x^(1/2) + log^2", "x^(5/4)")]
     ns = np.arange(5, 2000)
 
-    def stack(vals):
+    def stack(vals, _):
         return np.stack([np.stack([v.hi, v.lo]) for v in vals])
 
     parts = {
@@ -527,7 +535,7 @@ def test_unit_reduction_is_pointwise(literal, rng):
     # its neighbours in the chunk.
     def units(ns, **kw):
         return np.concatenate(_evaluate_chunks(
-            expr, ns, lambda v: e(frac_nearest(v)), **kw))
+            expr, ns, lambda v, _: e(frac_nearest(v)), **kw))
 
     expr = parse_expr(literal)
     table = units(np.arange(2, 50_001), first=2)  # log is undefined at 1

@@ -276,6 +276,16 @@ def test_vaughan_terms_match_definitions(X, u, v, rng):
     assert rep.relative_residual < 1e-9
 
 
+def test_vaughan_lhs_over_prime_powers_bit_equal(rng):
+    # the left-hand side sums only the prime powers in (v, X]; the exact
+    # zeros it skips cannot move an exactly rounded sum
+    X, v = 200_000, 100
+    g = np.exp(2j * np.pi * rng.random(X + 1))
+    w = arith_tables(X).lam[v + 1 :]
+    full = complex(math.fsum(w * g[v + 1 :].real), math.fsum(w * g[v + 1 :].imag))
+    assert vaughan_decompose(g, 10, v).lhs == full
+
+
 def test_vaughan_validates_inputs():
     with pytest.raises(ValueError):
         vaughan_decompose(np.zeros(11, dtype=complex), 0, 2)
