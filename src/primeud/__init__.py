@@ -7,7 +7,6 @@ exponential-sum and discrepancy machinery, and the finite recurrence models.
 from .ddarith import DD
 from .hardy import (
     Coefficient,
-    ConstantWindow,
     GrowthType,
     HardyExpr,
     boshernitzan_condition,

@@ -34,6 +34,10 @@ import numpy as np
 
 _SPLITTER = 134217729.0  # 2^27 + 1, exact in double
 
+# Tie-break tolerance for floors near integer boundaries: values within
+# BOUNDARY_TOL of an integer m floor to m (deterministic, auditable).
+BOUNDARY_TOL = 1e-9
+
 
 def two_sum(a, b):
     """Error-free sum: s + err == a + b exactly."""
@@ -317,7 +321,7 @@ def _nearest(x: DD):
     return n_hi, n_lo, r, r.to_float() - n_lo
 
 
-def floor_with_boundary(x: DD, tol: float = 1e-9):
+def floor_with_boundary(x: DD, tol: float = BOUNDARY_TOL):
     """Floor with the near-integer tie-break: values within tol of an
     integer m floor to m (never m-1).  Returns (int64, boundary count);
     raises OverflowError from |floor| ~ 2^62 on, before int64 wraps."""
@@ -329,7 +333,7 @@ def floor_with_boundary(x: DD, tol: float = 1e-9):
     return fl, int(np.count_nonzero(boundary))
 
 
-def frac_unit(x: DD, tol: float = 1e-9):
+def frac_unit(x: DD, tol: float = BOUNDARY_TOL):
     """Fractional parts in [0, 1); near-integer values collapse to 0.0 and
     are counted as boundary events (consistent with floor_with_boundary)."""
     _, n_lo, r, d = _nearest(x)

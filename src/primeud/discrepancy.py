@@ -17,12 +17,13 @@ import numpy as np
 
 from .expsums import _circle_sum, erdos_turan_bound, weyl_moduli
 from .errors import GateError
-from .hardy import (BOUNDARY_TOL, DEFAULT_CHUNK, HardyExpr, _check_magnitude,
-                    _evaluate_chunks)
+from .hardy import DEFAULT_CHUNK, HardyExpr, _check_magnitude, _evaluate_chunks
 from .ddarith import frac_unit
 from .primes import PrimeTable
 
-EXTREME_CAP = 10_000
+EXTREME_CAP = 10_000  # largest N for the O(N^2) extreme discrepancy
+ET_Q = 50  # harmonics in the Erdos-Turan bound of every report
+WEYL_Q_MAX = 10  # harmonic moduli a report lists (WEYL_Q_MAX <= ET_Q)
 
 
 def _validate_points(points) -> np.ndarray:
@@ -43,19 +44,19 @@ def star_discrepancy(points) -> float:
     return float(np.max(np.maximum(i / N - pts, pts - (i - 1.0) / N)))
 
 
-def extreme_discrepancy(points, cap: int = EXTREME_CAP) -> float:
+def extreme_discrepancy(points) -> float:
     """Exact two-sided discrepancy sup over subintervals [alpha, beta).
 
     Candidate endpoints are the sample values plus 0 and 1: the excess part
     closes the interval at sample points, the deficiency part opens it.
     Note the sup for a single point set {x} is 1 (a vanishing interval
     around x holds all the mass), and D* <= D <= 2 D* always.  O(N^2), so
-    capped at N <= cap.
+    capped at N <= EXTREME_CAP.
     """
     pts = _validate_points(points)
     N = len(pts)
-    if N > cap:
-        raise ValueError(f"extreme discrepancy is O(N^2); capped at N = {cap}")
+    if N > EXTREME_CAP:
+        raise ValueError(f"extreme discrepancy is O(N^2); capped at N = {EXTREME_CAP}")
     vals = np.unique(np.concatenate([pts, [0.0, 1.0]]))
     sorted_pts = np.sort(pts)
     # counts of points < v and <= v for each candidate endpoint v
@@ -123,7 +124,7 @@ def fractional_parts(expr: HardyExpr, q: int, domain: str, N: int,
         pts, events = np.zeros(len(ns)), 0
     else:
         parts = _evaluate_chunks(
-            expr, ns, lambda v, _: frac_unit(v * float(q), BOUNDARY_TOL),
+            expr, ns, lambda v, _: frac_unit(v * float(q)),
             chunk_size=chunk_size, threads=threads)
         pts = np.concatenate([p for p, _ in parts])
         events = sum(ev for _, ev in parts)
@@ -149,17 +150,16 @@ class DiscrepancyReport:
     extreme_hi: float | None = None
 
 
-def report_from_points(sample: PointSample, *, et_Q: int = 50,
-                       weyl_q_max: int = 10,
+def report_from_points(sample: PointSample, *,
                        with_extreme: bool = False) -> DiscrepancyReport:
     pts = sample.points
     N = len(pts)
     star = star_discrepancy(pts)
-    harmonics = weyl_moduli(pts, max(et_Q, weyl_q_max))
-    et = erdos_turan_bound(pts, et_Q, star=star, harmonics=harmonics[:et_Q])
+    harmonics = weyl_moduli(pts, ET_Q)
+    et = erdos_turan_bound(pts, ET_Q, star=star, harmonics=harmonics)
     if not et.holds:
         raise GateError("harmonic bound must dominate the exact star discrepancy")
-    moduli = tuple(harmonics[:weyl_q_max])
+    moduli = tuple(harmonics[:WEYL_Q_MAX])
     extreme = lo = hi = None
     if with_extreme:
         if N <= EXTREME_CAP:
@@ -176,15 +176,13 @@ def report_from_points(sample: PointSample, *, et_Q: int = 50,
 def equidistribution_report(expr: HardyExpr, q: int, domain: str, N: int,
                             table: PrimeTable | None = None, *,
                             modulus: int = 1, residue: int = 0,
-                            et_Q: int = 50, weyl_q_max: int = 10,
                             chunk_size: int = DEFAULT_CHUNK,
                             threads: int = 1,
                             with_extreme: bool = False) -> DiscrepancyReport:
     sample = fractional_parts(expr, q, domain, N, table, modulus=modulus,
                               residue=residue, chunk_size=chunk_size,
                               threads=threads)
-    return report_from_points(sample, et_Q=et_Q, weyl_q_max=weyl_q_max,
-                              with_extreme=with_extreme)
+    return report_from_points(sample, with_extreme=with_extreme)
 
 
 # -- joint equidistribution via finite frequency sets ---------------------------------
@@ -198,9 +196,8 @@ class JointWeylResult:
 
 def joint_weyl_test(family: Sequence[HardyExpr], poly_part: Sequence[HardyExpr],
                     lattice_vectors: Sequence[Sequence[int]], N: int,
-                    domain: str, table: PrimeTable | None = None, *,
-                    chunk_size: int = DEFAULT_CHUNK,
-                    threads: int = 1) -> JointWeylResult:
+                    domain: str, table: PrimeTable | None = None
+                    ) -> JointWeylResult:
     """Max normalized harmonic modulus of sum_i a_i P_i + sum_j b_j xi_j over
     the supplied integer frequency vectors (a..., b...).  Small max is
     evidence of joint equidistribution restricted to that frequency set;
@@ -219,8 +216,7 @@ def joint_weyl_test(family: Sequence[HardyExpr], poly_part: Sequence[HardyExpr],
         for coeff, g in zip(vec, list(poly_part) + list(family)):
             if coeff:
                 combo = combo + g.scale(coeff)
-        sample = fractional_parts(combo, 1, domain, N, table,
-                                  chunk_size=chunk_size, threads=threads)
+        sample = fractional_parts(combo, 1, domain, N, table)
         m = float(abs(_circle_sum(sample.points))) / N
         results.append((vec, m))
         worst = max(worst, m)

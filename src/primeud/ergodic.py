@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ddarith import floor_with_boundary
+from .ddarith import BOUNDARY_TOL, floor_with_boundary
 from .expsums import _circle_sum, e
-from .hardy import BOUNDARY_TOL, HardyExpr, _check_magnitude, _evaluate_chunks
+from .hardy import HardyExpr, _check_magnitude, _evaluate_chunks
 from .primes import PrimeTable, _fsum_complex
 
 
@@ -60,8 +60,7 @@ class SequenceSpec:
         return len(self.L) if self.L is not None else self.input_dim
 
 
-def _scan(stat, spec: SequenceSpec, N: int, table: PrimeTable, *, r: int = 1,
-          tol: float = BOUNDARY_TOL):
+def _scan(stat, spec: SequenceSpec, N: int, table: PrimeTable, *, r: int = 1):
     """([stat(block, start) per chunk], kept rows, boundary events) over the
     first N primes, after the gates: block is a chunk's int64 index vectors
     whose every entry r divides, and start the chunk's first position."""
@@ -79,7 +78,7 @@ def _scan(stat, spec: SequenceSpec, N: int, table: PrimeTable, *, r: int = 1,
         _check_magnitude(expr, float(ps[-1]))
 
     def reduce(vals, ns):
-        floors = [floor_with_boundary(v, tol) for v in vals]
+        floors = [floor_with_boundary(v, BOUNDARY_TOL) for v in vals]
         d = np.stack([(ns + spec.shift) ** j for j in range(1, spec.poly_degree + 1)]
                      + [fl for fl, _ in floors], axis=1)
         if L is not None:
@@ -93,11 +92,10 @@ def _scan(stat, spec: SequenceSpec, N: int, table: PrimeTable, *, r: int = 1,
     return list(stats), sum(counts), sum(events)
 
 
-def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable,
-                  tol: float = BOUNDARY_TOL):
+def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable):
     """(N x m) int64 index vectors over the first N primes and the count of
     floor boundary events: the blocks of the streamed scans, concatenated."""
-    blocks, _, events = _scan(lambda d, start: d, spec, N, table, tol=tol)
+    blocks, _, events = _scan(lambda d, start: d, spec, N, table)
     return np.concatenate(blocks), events
 
 
@@ -307,7 +305,8 @@ def torus_recurrence_average(sysm: TorusSystem, spec: SequenceSpec, N: int,
     """Average over n <= N of vol(A intersect T_1^{-psi_1} ... T_m^{-psi_m} A)
     with psi = spec(p_n), against mu(A)^2."""
     total, _, events = _target_scan(sysm, 1, spec, N, table)
-    avg, mu2 = total / N, float(sysm.mu_A) ** 2
+    mu = float(sysm.mu_A)
+    avg, mu2 = total / N, mu * mu
     return RecurrenceResult(average=avg, mu_sq=mu2, margin=avg - mu2, N=N,
                             boundary_events=events)
 
@@ -426,8 +425,8 @@ def filtered_recurrence(target, r: int, spec: SequenceSpec, N: int,
     if r < 1:
         raise ValueError("r must be >= 1")
     total, count, events = _target_scan(target, r, spec, N, table)
-    ref = float(target.mu_A if isinstance(target, TorusSystem)
-                else target.density) ** 2
+    ref = float(target.mu_A if isinstance(target, TorusSystem) else target.density)
+    ref *= ref
     if count == 0:
         return FilteredResult(r, 0.0, 0, N, None, ref, None, False, events)
     avg = total / count

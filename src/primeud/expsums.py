@@ -32,6 +32,8 @@ from .primes import PrimeTable, _fsum_complex
 
 # A safe published explicit constant; the asymptotic statement hides it.
 ERDOS_TURAN_CONSTANT = 4.0
+# The iterated shift bound's constant is unquantified; its report is advisory.
+COMPOSITE_CONSTANT = 10.0
 DERIVATIVE_GRID = 1024  # dense sampling for lambda/alpha estimation
 
 
@@ -159,11 +161,7 @@ def kusmin_landau_check(phase: HardyExpr, q: int, a: int, b: int, *,
     verified numerically on a dense grid; violations flag the report as
     invalid rather than raising.
     """
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    lo = 2 if phase.has_log else 1
-    if not b >= a >= lo:
-        raise ValueError(f"need b >= a >= {lo} for this phase")
+    s = weyl_sum_integers(phase, q, a, b, chunk_size=chunk_size, threads=threads)
     deriv = differentiate(phase)
     vals, monotone = _derivative_profile(deriv, q, float(a), float(b))
     dist = np.abs(vals - np.rint(vals))
@@ -175,7 +173,6 @@ def kusmin_landau_check(phase: HardyExpr, q: int, a: int, b: int, *,
         note = "derivative not monotone on interval"
     elif crossed or lam == 0.0:
         note = "||q phase'|| reaches 0 on interval"
-    s = weyl_sum_integers(phase, q, a, b, chunk_size=chunk_size, threads=threads)
     actual = abs(s.sum)
     bound = (2.0 / (math.pi * lam) + 1.0) if lam > 0 else math.inf
     rep = _make_bound_report(
@@ -217,7 +214,6 @@ def vdc_inequality_check(vals, H: int) -> BoundReport:
 
 
 def composite_bound_eval(phase: HardyExpr, q: int, k: int, X1: int, X: int, *,
-                         constant: float = 10.0,
                          chunk_size: int = DEFAULT_CHUNK,
                          threads: int = 1) -> BoundReport:
     """k-th iterated shift bound on I = (X1, X1+X] subset (X1, 2 X1]:
@@ -248,7 +244,7 @@ def composite_bound_eval(phase: HardyExpr, q: int, k: int, X1: int, X: int, *,
         alpha = top / lam
         K = float(2**k)
         lx = math.log(X) if X > 1 else 1.0
-        bound = constant * X * (
+        bound = COMPOSITE_CONSTANT * X * (
             (alpha * lam) ** (1.0 / (2.0 * K - 2.0))
             + (lam * X ** (k + 1)) ** (-1.0 / K) * lx ** (k / K)
             + (alpha * lx**k / X) ** (1.0 / K)
@@ -260,7 +256,7 @@ def composite_bound_eval(phase: HardyExpr, q: int, k: int, X1: int, X: int, *,
         "iterated-shift-bound", actual, bound,
         valid=valid, advisory=True, note=note, chunk_size=chunk_size,
         params={"q": q, "k": k, "X1": X1, "X": X, "lambda": lam,
-                "alpha": alpha, "constant": constant},
+                "alpha": alpha, "constant": COMPOSITE_CONSTANT},
     )
     return rep
 
@@ -285,8 +281,7 @@ def weyl_moduli(points: np.ndarray, Q: int) -> list[tuple[int, float]]:
     return out
 
 
-def erdos_turan_bound(points, Q: int, *, constant: float = ERDOS_TURAN_CONSTANT,
-                      star: float | None = None,
+def erdos_turan_bound(points, Q: int, *, star: float | None = None,
                       harmonics: list[tuple[int, float]] | None = None
                       ) -> BoundReport:
     """Exact star discrepancy against the harmonic-sum bound
@@ -312,9 +307,9 @@ def erdos_turan_bound(points, Q: int, *, constant: float = ERDOS_TURAN_CONSTANT,
     elif len(harmonics) != Q:
         raise ValueError(f"need {Q} harmonics, got {len(harmonics)}")
     total = math.fsum(m / q for q, m in harmonics)
-    bound = constant * (1.0 / Q + total)
+    bound = ERDOS_TURAN_CONSTANT * (1.0 / Q + total)
     return _make_bound_report(
         "erdos-turan", star, bound,
-        params={"Q": Q, "N": N, "constant": constant},
+        params={"Q": Q, "N": N, "constant": ERDOS_TURAN_CONSTANT},
         precision_mode="standard",
     )

@@ -23,14 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ddarith import DD, dd_ipow, dd_log, dd_pow_frac, dd_sqrt
+from .ddarith import BOUNDARY_TOL, DD, dd_ipow, dd_log, dd_pow_frac, dd_sqrt
 
 # Key for the rational unit in a coefficient's basis expansion.
 RATIONAL_UNIT = ""
-
-# Tie-break tolerance for floors near integer boundaries: values within
-# BOUNDARY_TOL of an integer m floor to m (deterministic, auditable).
-BOUNDARY_TOL = 1e-9
 
 # Largest phase magnitude a compensated evaluation admits.  The measured
 # evaluation error is 5.0e-11 at 2^70 for pi*x^3 (the other term classes
@@ -385,18 +381,16 @@ def _evaluate_chunks(expr: HardyExpr | Sequence[HardyExpr], ns, reduce, *,
     return [work(c) for c in chunks]
 
 
-def evaluate(expr: HardyExpr, x: float, precision: str = "standard"):
-    """Scalar evaluation; x > 1.  Compensated mode returns a DD whose
-    fractional part is good to < 1e-9 absolute for |values| up to
-    COMPENSATED_LIMIT = 2^70."""
+def evaluate(expr: HardyExpr, x: float) -> float:
+    """Scalar evaluation in double precision; x > 1.  For a compensated
+    value, whose fractional part is good to < 1e-9 absolute for |values| up
+    to COMPENSATED_LIMIT = 2^70, call evaluate_array(expr, [x],
+    "compensated")."""
     if not (x > 1.0):
         raise ExprDomainError("x must be > 1")
     if not math.isfinite(x):
         raise ExprDomainError("x must be finite")
-    result = evaluate_array(expr, np.asarray([x]), precision)
-    if precision == "standard":
-        return float(result[0])
-    return DD(result.hi[0], result.lo[0])
+    return float(evaluate_array(expr, np.asarray([x]), "standard")[0])
 
 
 def differentiate(expr: HardyExpr) -> HardyExpr:
@@ -592,13 +586,10 @@ def family_combination_check(
 
 # -- differential inequality verification ---------------------------------------
 
-
-@dataclass(frozen=True)
-class ConstantWindow:
-    """Multiplicative slack applied to both ends of each asymptotic bound."""
-
-    lo: float = 1.0 / 64.0
-    hi: float = 64.0
+# Multiplicative slack applied to both ends of each asymptotic bound.
+WINDOW_LO, WINDOW_HI = 1.0 / 64.0, 64.0
+# Exponent slack of the power-law envelope |f^(j)| ~ x^(beta - j).
+ENVELOPE_EPS = 0.1
 
 
 @dataclass(frozen=True)
@@ -616,8 +607,6 @@ class RatioRow:
 @dataclass(frozen=True)
 class InequalityReport:
     rows: tuple[RatioRow, ...]
-    window: ConstantWindow
-    eps: float
 
     @property
     def all_ok(self) -> bool:
@@ -628,11 +617,11 @@ class InequalityReport:
         return tuple(r for r in self.rows if r.ok is None)
 
 
-def _ratio_row(eq, x, j, value, lower, upper, window) -> RatioRow:
+def _ratio_row(eq, x, j, value, lower, upper) -> RatioRow:
     ok = True
-    if lower is not None and value < window.lo * lower:
+    if lower is not None and value < WINDOW_LO * lower:
         ok = False
-    if upper is not None and value > window.hi * upper:
+    if upper is not None and value > WINDOW_HI * upper:
         ok = False
     return RatioRow(eq, x, j, value, lower, upper, ok)
 
@@ -641,18 +630,16 @@ def verify_differential_inequalities(
     expr: HardyExpr,
     x_samples: Sequence[float],
     j_max: int = 2,
-    window: ConstantWindow = ConstantWindow(),
-    eps: float = 0.1,
 ) -> InequalityReport:
     """Evaluate the derivative-ratio inequalities appropriate to the
     expression's growth class at each sample and report whether each ratio
-    sits inside its constant window.
+    sits inside its constant window [WINDOW_LO, WINDOW_HI] times the bound.
 
     Sublinear window (and log-power) expressions get the x f'/f bounds and
     the shifted j-th ratio bounds; expressions in a higher window get the
-    order-one shifted ratio and the power-law envelope for |f^(j)| with a
-    configurable epsilon.  Samples where a derivative vanishes are flagged
-    rather than fatal.
+    order-one shifted ratio and the power-law envelope
+    x^(beta - j -+ ENVELOPE_EPS) for |f^(j)|.  Samples where a derivative
+    vanishes are flagged rather than fatal.
     """
     if expr.is_zero:
         raise ValueError("zero expression")
@@ -675,7 +662,7 @@ def verify_differential_inequalities(
         d = derivs[j]
         if d.is_zero:
             return 0.0
-        return evaluate(d, x, "standard")
+        return evaluate(d, x)
 
     rows: list[RatioRow] = []
     for x in xs:
@@ -687,24 +674,21 @@ def verify_differential_inequalities(
                 rows.append(RatioRow("e0", x, j, None, None, None, None, "zero denominator"))
                 continue
             base = x * fj1 / fj
-            rows.append(_ratio_row("e0", x, j, abs(base), 1.0 / lg**2, None, window))
+            rows.append(_ratio_row("e0", x, j, abs(base), 1.0 / lg**2, None))
             if sublinear and j >= 1:
-                rows.append(_ratio_row("e3", x, j, abs(base + j), 1.0 / lg**2, 1.0, window))
-                rows.append(_ratio_row("e4", x, j, abs(base), 1.0 / lg**2, 1.0, window))
+                rows.append(_ratio_row("e3", x, j, abs(base + j), 1.0 / lg**2, 1.0))
+                rows.append(_ratio_row("e4", x, j, abs(base), 1.0 / lg**2, 1.0))
             if upper_window:
-                rows.append(_ratio_row("e5", x, j, abs(base + j), 1.0, 1.0, window))
-                rows.append(
-                    _ratio_row(
-                        "e6", x, j, abs(fj), x ** (beta - j - eps), x ** (beta - j + eps), window
-                    )
-                )
+                rows.append(_ratio_row("e5", x, j, abs(base + j), 1.0, 1.0))
+                rows.append(_ratio_row("e6", x, j, abs(fj), x ** (beta - j - ENVELOPE_EPS),
+                                       x ** (beta - j + ENVELOPE_EPS)))
         if sublinear:
             f0, f1 = val(0, x), val(1, x)
             if f0 != 0.0:
-                rows.append(_ratio_row("e2", x, 0, x * f1 / f0, 1.0 / (2 * lg), 1.0, window))
+                rows.append(_ratio_row("e2", x, 0, x * f1 / f0, 1.0 / (2 * lg), 1.0))
             f1_2x = val(1, 2 * x)
             if f1_2x != 0.0:
-                rows.append(_ratio_row("e1", x, 0, f1 / f1_2x, 1.0, lg, window))
+                rows.append(_ratio_row("e1", x, 0, f1 / f1_2x, 1.0, lg))
             else:
                 rows.append(RatioRow("e1", x, 0, None, None, None, None, "zero denominator"))
-    return InequalityReport(tuple(rows), window, eps)
+    return InequalityReport(tuple(rows))

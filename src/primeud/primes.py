@@ -79,18 +79,17 @@ def _sieve_segment(low: int, high: int, base: np.ndarray) -> np.ndarray:
     return low + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
-def sieve(limit: int, segment_size: int = DEFAULT_SEGMENT,
-          max_limit: int = MAX_SIEVE_LIMIT) -> PrimeTable:
+def sieve(limit: int) -> PrimeTable:
     """All primes <= limit via an odd-only segmented sieve.
 
     Segments cover disjoint ranges and are concatenated in ascending order.
     """
-    if not (2 <= limit <= max_limit):
-        raise ValueError(f"limit must be in [2, {max_limit}]")
+    if not (2 <= limit <= MAX_SIEVE_LIMIT):
+        raise ValueError(f"limit must be in [2, {MAX_SIEVE_LIMIT}]")
     base = _simple_sieve(math.isqrt(limit))
     ranges = []
     low = 3
-    span = 2 * segment_size
+    span = 2 * DEFAULT_SEGMENT
     while low <= limit:
         high = min(low + span, limit + 1)  # exclusive
         ranges.append((low, high))

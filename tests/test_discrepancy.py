@@ -194,8 +194,7 @@ def test_report_et_bound_dominates_star(table100k, rng):
         assert rep.N == 2_000
 
 
-@pytest.mark.parametrize("et_Q,weyl_q_max", [(50, 10), (5, 12)])
-def test_report_computes_harmonics_once(monkeypatch, table100k, et_Q, weyl_q_max):
+def test_report_computes_harmonics_once(monkeypatch, table100k):
     import primeud.discrepancy as disc
 
     calls, used = [], []
@@ -212,13 +211,12 @@ def test_report_computes_harmonics_once(monkeypatch, table100k, et_Q, weyl_q_max
     monkeypatch.setattr(disc, "weyl_moduli", spy_moduli)
     monkeypatch.setattr(disc, "erdos_turan_bound", spy_et)
     sample = fractional_parts(parse_expr("x^(3/2)"), 1, "primes", 3_000, table100k)
-    rep = disc.report_from_points(sample, et_Q=et_Q, weyl_q_max=weyl_q_max)
-    assert calls == [max(et_Q, weyl_q_max)]
-    assert len(used[0]) == et_Q
-    assert rep.weyl_moduli == tuple(real_moduli(sample.points, weyl_q_max))
-    shared = min(et_Q, weyl_q_max)
-    assert rep.weyl_moduli[:shared] == tuple(used[0][:shared])
-    assert rep.et_bound == real_et(sample.points, et_Q).bound
+    rep = disc.report_from_points(sample)
+    assert calls == [disc.ET_Q]
+    assert len(used[0]) == disc.ET_Q
+    assert rep.weyl_moduli == tuple(real_moduli(sample.points, disc.WEYL_Q_MAX))
+    assert rep.weyl_moduli == tuple(used[0][:disc.WEYL_Q_MAX])
+    assert rep.et_bound == real_et(sample.points, disc.ET_Q).bound
 
 
 def test_report_carries_extreme_or_sandwich(table100k):

@@ -67,15 +67,18 @@ def test_floors_match_bigfloat_oracle(table2m):
         assert int(d[i, 0]) == fl, p
 
 
-def test_shared_basis_matches_each_expr_alone(table2m):
+def test_shared_basis_matches_each_expr_alone(monkeypatch, table2m):
+    import primeud.ergodic as ergodic
+
     # one evaluation shares log x and x^(1/q) across the exprs; each floor
     # column and the event count must be those of the expr on its own
     exprs = tuple(parse_expr(s) for s in ("x^(3/2)", "x^(1/2) + log^2", "x^(5/4)"))
-    tol = 1e-3  # wide enough that every column records boundary events
-    d, events = index_vectors(SequenceSpec(exprs=exprs), 40_000, table2m, tol)
+    # a tolerance wide enough that every column records boundary events
+    monkeypatch.setattr(ergodic, "BOUNDARY_TOL", 1e-3)
+    d, events = index_vectors(SequenceSpec(exprs=exprs), 40_000, table2m)
     alone_events = []
     for i, expr in enumerate(exprs):
-        col, ev = index_vectors(SequenceSpec(exprs=(expr,)), 40_000, table2m, tol)
+        col, ev = index_vectors(SequenceSpec(exprs=(expr,)), 40_000, table2m)
         assert np.array_equal(d[:, i], col[:, 0]), str(expr)
         alone_events.append(ev)
     assert min(alone_events) > 0
@@ -340,6 +343,16 @@ def test_filter_r1_is_identity(table100k):
     filt = filtered_recurrence(E, 1, spec, 5_000, table100k)
     assert filt.relative_density == 1.0
     assert filt.average == pytest.approx(plain.hit_density)
+
+
+def test_lattice_and_filtered_references_agree(table100k):
+    # 33/41 is the density of smallest denominator whose float's square
+    # rounds differently by x * x and by x ** 2 (libm pow)
+    E = LatticeSet(period=(41,), mask=np.arange(41) < 33)
+    spec = SequenceSpec(exprs=(parse_expr("x^(3/2)"),))
+    plain = lattice_recurrence_scan(E, spec, 1_000, table100k)
+    filt = filtered_recurrence(E, 1, spec, 1_000, table100k)
+    assert plain.dstar_sq == filt.reference_sq
 
 
 def test_filter_parity_keeps_odd_primes(table100k):

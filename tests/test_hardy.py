@@ -82,10 +82,10 @@ def test_evaluate_rejects_bad_x():
 def test_evaluate_compensated_fractional_part():
     # sqrt(2) x^2 at 1e6: value ~1.4e12, fractional part to 1e-9 absolute
     expr = parse_expr("sqrt(2)*x^2")
-    v = evaluate(expr, 1e6, "compensated")
+    v = evaluate_array(expr, [1e6], "compensated")
     exact = eval_oracle(expr, 10**6)
     frac_exact = exact - mpmath.floor(exact)
-    got = mpmath.mpf(float(v.hi)) + mpmath.mpf(float(v.lo))
+    got = mpmath.mpf(float(v.hi[0])) + mpmath.mpf(float(v.lo[0]))
     frac_got = got - mpmath.floor(got)
     assert abs(frac_got - frac_exact) < mpmath.mpf("1e-9")
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from primeud.primes import (
+    DEFAULT_SEGMENT,
+    MAX_SIEVE_LIMIT,
     ap_balance_report,
     arith_tables,
     load_prime_cache,
@@ -16,7 +18,7 @@ from primeud.primes import (
     sieve,
     vaughan_decompose,
 )
-from primeud.primes import _fsum_complex
+from primeud.primes import _fsum_complex, _simple_sieve
 
 
 def _trial_division_primes(limit):
@@ -42,9 +44,9 @@ def test_sieve_matches_trial_division_to_1e5():
 
 
 def test_sieve_small_segments_agree():
-    a = sieve(50_000, segment_size=1000)
-    b = sieve(50_000)
-    assert np.array_equal(a.primes, b.primes)
+    # 5 * 10^6 spans three segments of 2 * DEFAULT_SEGMENT numbers each
+    assert 2 * (2 * DEFAULT_SEGMENT) < 5_000_000 < 3 * (2 * DEFAULT_SEGMENT)
+    assert np.array_equal(sieve(5_000_000).primes, _simple_sieve(5_000_000))
 
 
 def test_pi_checkpoint_invariants(table100k):
@@ -58,7 +60,7 @@ def test_sieve_rejects_bad_limits():
     with pytest.raises(ValueError):
         sieve(1)
     with pytest.raises(ValueError):
-        sieve(10, max_limit=5)
+        sieve(MAX_SIEVE_LIMIT + 1)
 
 
 def test_primes_strictly_increasing_and_coprime(table100k):
