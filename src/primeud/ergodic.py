@@ -6,7 +6,8 @@ sets, divisibility-filtered subsequences, and closed-form spectral probes.
 Index sequences are d_n = (P_1(p_n + i), ..., P_l(p_n + i),
 [xi_1(p_n)], ..., [xi_k(p_n)]) with i in {-1, 0, +1}; the shift applies only
 to the polynomial coordinates, never inside xi.  Floors use the documented
-near-integer tie-break and log boundary events.
+near-integer tie-break and log boundary events; they come from
+hardy.floor_array, which takes double-double only near an integer.
 Scans stream the index vectors chunk by chunk and hold no N-length array;
 partial sums are added exactly, so results are bit-identical for a fixed
 chunk size.
@@ -21,9 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ddarith import BOUNDARY_TOL, floor_with_boundary
 from .expsums import _circle_sum, e
-from .hardy import HardyExpr, _check_magnitude, _evaluate_chunks
+from .hardy import HardyExpr, _check_magnitude, _map_chunks, floor_array
 from .primes import PrimeTable, _fsum_complex
 
 
@@ -77,18 +77,17 @@ def _scan(stat, spec: SequenceSpec, N: int, table: PrimeTable, *, r: int = 1):
     for expr in spec.exprs:
         _check_magnitude(expr, float(ps[-1]))
 
-    def reduce(vals, ns):
-        floors = [floor_with_boundary(v, BOUNDARY_TOL) for v in vals]
+    def work(ns, start):
+        floors = floor_array(spec.exprs, ns.astype(np.float64))
         d = np.stack([(ns + spec.shift) ** j for j in range(1, spec.poly_degree + 1)]
                      + [fl for fl, _ in floors], axis=1)
         if L is not None:
             d = d @ L.T
         if r > 1:
             d = d[np.all(d % r == 0, axis=1)]
-        return (stat(d, int(np.searchsorted(ps, ns[0]))), len(d),
-                sum(ev for _, ev in floors))
+        return stat(d, start), len(d), sum(ev for _, ev in floors)
 
-    stats, counts, events = zip(*_evaluate_chunks(spec.exprs, ps, reduce))
+    stats, counts, events = zip(*_map_chunks(work, ps))
     return list(stats), sum(counts), sum(events)
 
 

@@ -11,6 +11,10 @@ and two of the decision procedures hinge on exactly that distinction.
 Coefficients are finite Q-linear combinations of basis symbols
 (1, sqrt(n), phi, pi, e, irr(<digits>)), so sums and rational rescalings of
 coefficients stay exact and rationality queries stay decidable.
+
+Values come from evaluate_array, in double or double-double; floors come from
+floor_array, which evaluates in double with an error band and takes
+double-double only where the band reaches an integer.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ddarith import BOUNDARY_TOL, DD, dd_ipow, dd_log, dd_pow_frac, dd_sqrt
+from .ddarith import (BOUNDARY_TOL, DD, dd_ipow, dd_log, dd_pow_frac, dd_sqrt,
+                      floor_with_boundary)
 
 # Key for the rational unit in a coefficient's basis expansion.
 RATIONAL_UNIT = ""
@@ -33,8 +38,23 @@ RATIONAL_UNIT = ""
 # within 2x of it), but 4.8e-9 at 2^76, already above BOUNDARY_TOL.
 COMPENSATED_LIMIT = float(2**70)
 
-# Points per chunk of a compensated phase evaluation (see _evaluate_chunks).
+# Points per chunk of a compensated phase evaluation (see _map_chunks).
 DEFAULT_CHUNK = 16384
+
+# Error band of a double evaluation (see floor_array).  Per term, the double
+# errs by a few units of 2^-53 of |piece| (the coefficient, pow, log^k, two
+# products and the sum; FLOOR_ULPS budgets them) plus the exact cost of
+# rounding theta to a double, |fl(theta) - theta| ln x.  The band is
+# FLOOR_HEADROOM times that sum, so a pow or log a few ulps worse than the
+# measured ones still cannot flip a floor.  Measured over the first 10^6
+# primes: 1.2 units of 2^-53 of sum |piece| for x^(3/2), 11.8 for x^(5/3)
+# and 21.2 for x^(7/3), nearly all of the last two from theta.
+FLOOR_ULPS = 8.0
+FLOOR_HEADROOM = 8.0
+# dd kernels split their operands by 2^27 + 1, which overflows near 2^996;
+# points whose dd intermediates may pass _DD_SAFE go to dd whole, so that
+# floor_array raises exactly where evaluate_array does.
+_DD_SAFE = 2.0**900
 
 
 def _check_magnitude(expr: HardyExpr, x_max: float, q: int = 1) -> None:
@@ -299,6 +319,26 @@ class HardyExpr:
 # -- evaluation ----------------------------------------------------------------
 
 
+def _check_domain(exprs: Sequence[HardyExpr], xs: np.ndarray) -> bool:
+    """Refuse points outside the domain (> 1 with log factors, >= 1
+    without); returns whether any expression carries a log factor."""
+    has_log = any(e.has_log for e in exprs)
+    lo = 1.0 if has_log else 1.0 - 1e-12
+    if xs.size and float(np.min(xs)) <= lo:
+        raise ExprDomainError("evaluation points must be > 1 (log domain)")
+    return has_log
+
+
+def _standard_terms(expr: HardyExpr, xs, logs):
+    """(term, its value c x^theta log^k x in double) for each term of expr;
+    logs is log(xs), read only by terms with a log factor."""
+    for t in expr.terms:
+        piece = t.coeff.value * xs ** float(t.theta)
+        if t.logpow:
+            piece = piece * logs ** t.logpow
+        yield t, piece
+
+
 def evaluate_array(expr: HardyExpr | Sequence[HardyExpr], xs,
                    precision: str = "compensated"):
     """Evaluate on an array of exact-double points.
@@ -313,20 +353,14 @@ def evaluate_array(expr: HardyExpr | Sequence[HardyExpr], xs,
     """
     exprs = (expr,) if isinstance(expr, HardyExpr) else tuple(expr)
     xs = np.asarray(xs, dtype=np.float64)
-    has_log = any(e.has_log for e in exprs)
-    lo = 1.0 if has_log else 1.0 - 1e-12
-    if xs.size and float(np.min(xs)) <= lo:
-        raise ExprDomainError("evaluation points must be > 1 (log domain)")
+    has_log = _check_domain(exprs, xs)
     if precision == "standard":
         with np.errstate(over="ignore", invalid="ignore"):
             logs = np.log(xs) if has_log else None
             out = []
             for e in exprs:
                 total = np.zeros_like(xs)
-                for t in e.terms:
-                    piece = t.coeff.value * xs ** float(t.theta)
-                    if t.logpow:
-                        piece = piece * logs ** t.logpow
+                for _, piece in _standard_terms(e, xs, logs):
                     total += piece
                 out.append(total)
         finite = all(np.all(np.isfinite(v)) for v in out)
@@ -354,31 +388,128 @@ def evaluate_array(expr: HardyExpr | Sequence[HardyExpr], xs,
     return out[0] if isinstance(expr, HardyExpr) else out
 
 
+def _map_chunks(work, ns, *, chunk_size: int = DEFAULT_CHUNK, threads: int = 1,
+                first: int = 0) -> list:
+    """work(chunk, start) for each chunk of ns, in order; start is the
+    chunk's position in ns.
+
+    ns is cut before every position i at which the absolute index first + i
+    is a multiple of chunk_size; an empty ns is one empty chunk.  The chunks
+    depend on chunk_size and first only: a thread pool runs them when
+    threads > 1 and there is more than one, and the results come back in the
+    same order either way.
+    """
+    ns = np.asarray(ns)
+    cuts = range(chunk_size - first % chunk_size, len(ns), chunk_size)
+    chunks, starts = np.split(ns, cuts), [0, *cuts]
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, chunks, starts))
+    return [work(c, s) for c, s in zip(chunks, starts)]
+
+
 def _evaluate_chunks(expr: HardyExpr | Sequence[HardyExpr], ns, reduce, *,
                      chunk_size: int = DEFAULT_CHUNK, threads: int = 1,
                      first: int = 0) -> list:
-    """reduce(compensated expr values, chunk) for each chunk of ns, in order.
-
-    ns is cut before every position i at which the absolute index first + i
-    is a multiple of chunk_size; an empty ns is one empty chunk.  The chunks,
-    and so the arrays reduce sees, depend on chunk_size and first only: a
-    thread pool runs them when threads > 1 and there is more than one, and
-    the results come back in the same order either way.  For a sequence of
-    expressions reduce sees the list of their values on one shared basis
-    (see evaluate_array).
+    """reduce(compensated expr values, chunk) for each chunk of ns, in order
+    (the chunks and threads of _map_chunks).  For a sequence of expressions
+    reduce sees the list of their values on one shared basis (see
+    evaluate_array).
     """
-    ns = np.asarray(ns)
-    chunks = np.split(ns, range(chunk_size - first % chunk_size, len(ns),
-                                chunk_size))
-
-    def work(chunk):
+    def work(chunk, _):
         return reduce(evaluate_array(expr, chunk.astype(np.float64),
                                      "compensated"), chunk)
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, chunks))
-    return [work(c) for c in chunks]
+    return _map_chunks(work, ns, chunk_size=chunk_size, threads=threads,
+                       first=first)
+
+
+# -- floors ---------------------------------------------------------------------
+
+
+def _band_weight(t: Term, logs):
+    """Error of a double piece of t per unit of |piece|, before the
+    headroom: FLOOR_ULPS units of 2^-53, plus |fl(theta) - theta| log x, by
+    which x ** fl(theta) misses x^theta."""
+    err = abs(float(Fraction(float(t.theta)) - t.theta))
+    return FLOOR_ULPS * 2.0**-53 + (err * logs if err else 0.0)
+
+
+def _decidable(exprs: Sequence[HardyExpr], xs: np.ndarray) -> bool:
+    """Whether a double pre-pass can settle floors on xs: a bound on the
+    band over [min xs, max xs] (every term, theta <= 0 too) stays below 1/4
+    and no dd intermediate can reach _DD_SAFE.  Such a band also keeps every
+    value below 2^45, well inside the 2^52 from which a double holds no
+    fraction."""
+    lo, hi = float(np.min(xs)), float(np.max(xs))
+    lx = max(abs(math.log(lo)), abs(math.log(hi)))
+    band = 0.0
+    try:
+        for e in exprs:
+            for t in e.terms:
+                th = float(t.theta)
+                # x^(|k|) and the root power are the largest dd intermediates
+                if hi ** (abs(th) + 1.0) * max(lx, 1.0) ** t.logpow > _DD_SAFE:
+                    return False
+                size = abs(t.coeff.value) * max(lo ** th, hi ** th) * lx ** t.logpow
+                band += size * _band_weight(t, lx)
+    except OverflowError:
+        return False
+    return FLOOR_HEADROOM * band + 4.0 * BOUNDARY_TOL < 0.25
+
+
+def _prepass(exprs: Sequence[HardyExpr], xs: np.ndarray) -> list:
+    """[(double value, error band)] for each expr at xs: the band bounds
+    |double - dd value| with FLOOR_HEADROOM to spare, plus 4 BOUNDARY_TOL so
+    that no point outside it is a dd boundary event."""
+    needs_log = any(t.logpow or float(t.theta) != t.theta
+                    for e in exprs for t in e.terms)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = np.log(xs) if needs_log else None
+        for e in exprs:
+            total, err = np.zeros_like(xs), np.zeros_like(xs)
+            for t, piece in _standard_terms(e, xs, logs):
+                total += piece
+                err += np.abs(piece) * _band_weight(t, logs)
+            out.append((total, FLOOR_HEADROOM * err + 4.0 * BOUNDARY_TOL))
+    return out
+
+
+def floor_array(exprs: Sequence[HardyExpr], xs) -> list:
+    """[(int64 floors, boundary events)] of each expr at exact-double xs, bit
+    for bit [floor_with_boundary(v) for v in evaluate_array(exprs, xs,
+    "compensated")], with the same exceptions.
+
+    Filtered arithmetic, as in Ziv's rounding test (ACM TOMS 17, 1991) and
+    Shewchuk's adaptive predicates (DCG 18, 1997): a double evaluation with
+    an error band (_prepass) settles every point whose band clears the
+    nearest integer; its floor is the double's, and it is no boundary
+    event.  The other points (NaN and inf included) are evaluated on one
+    shared dd basis and floored by floor_with_boundary.  A set of points on
+    which the band may reach 1/4 (_decidable) goes to dd whole, with no
+    pre-pass.
+    """
+    exprs = tuple(exprs)
+    xs = np.asarray(xs, dtype=np.float64)
+    _check_domain(exprs, xs)
+    if not (xs.size and _decidable(exprs, xs)):
+        return [floor_with_boundary(v, BOUNDARY_TOL)
+                for v in evaluate_array(exprs, xs, "compensated")]
+    floors, slow = [], np.zeros(xs.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for v, band in _prepass(exprs, xs):
+            fl = np.floor(v)
+            frac = v - fl  # exact below 2^52, 0 from there on, NaN at inf
+            fast = (band < frac) & (frac < 1.0 - band)
+            slow |= ~fast
+            floors.append(np.where(fast, fl, 0.0).astype(np.int64))
+    events = [0] * len(exprs)
+    if slow.any():
+        idx = np.flatnonzero(slow)
+        for i, v in enumerate(evaluate_array(exprs, xs[idx], "compensated")):
+            floors[i][idx], events[i] = floor_with_boundary(v, BOUNDARY_TOL)
+    return list(zip(floors, events))
 
 
 def evaluate(expr: HardyExpr, x: float) -> float:

@@ -68,13 +68,13 @@ def test_floors_match_bigfloat_oracle(table2m):
 
 
 def test_shared_basis_matches_each_expr_alone(monkeypatch, table2m):
-    import primeud.ergodic as ergodic
+    import primeud.hardy as hardy
 
     # one evaluation shares log x and x^(1/q) across the exprs; each floor
     # column and the event count must be those of the expr on its own
     exprs = tuple(parse_expr(s) for s in ("x^(3/2)", "x^(1/2) + log^2", "x^(5/4)"))
     # a tolerance wide enough that every column records boundary events
-    monkeypatch.setattr(ergodic, "BOUNDARY_TOL", 1e-3)
+    monkeypatch.setattr(hardy, "BOUNDARY_TOL", 1e-3)
     d, events = index_vectors(SequenceSpec(exprs=exprs), 40_000, table2m)
     alone_events = []
     for i, expr in enumerate(exprs):

@@ -16,6 +16,7 @@ from primeud.hardy import (
     HardyExpr,
     Term,
     _evaluate_chunks,
+    _map_chunks,
     boshernitzan_condition,
     classify_growth,
     differentiate,
@@ -474,6 +475,15 @@ def test_evaluate_chunks_pass_each_chunks_integers():
                            chunk_size=1000, first=777)
     assert [len(c) for c in got] == [223, 1000, 1000, 1]
     assert np.array_equal(np.concatenate(got), ns)
+
+
+def test_map_chunks_start_at_their_positions():
+    ns = np.arange(777, 3001)
+    for threads in (1, 2):
+        got = _map_chunks(lambda c, start: (start, len(c), int(c[0])), ns,
+                          chunk_size=1000, threads=threads, first=777)
+        assert got == [(0, 223, 777), (223, 1000, 1000), (1223, 1000, 2000),
+                       (2223, 1, 3000)]
 
 
 def test_evaluate_chunks_values_and_threads():
