@@ -17,37 +17,12 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .corpus import CONTROL_CORPUS
-from .ddarith import frac_nearest
-from .discrepancy import equidistribution_report, fractional_parts
 from .errors import GateError
-from .ergodic import (
-    Box,
-    DiagonalUnitarySystem,
-    LatticeSet,
-    SequenceSpec,
-    SpectralMeasure,
-    TorusSystem,
-    ergodic_average,
-    fcplus_probe,
-    filtered_recurrence,
-    lattice_recurrence_scan,
-    torus_recurrence_average,
-)
-from .expsums import (
-    DEFAULT_CHUNK,
-    composite_bound_eval,
-    e,
-    erdos_turan_bound,
-    kusmin_landau_check,
-    vdc_inequality_check,
-    weyl_sum_integers,
-    weyl_sum_primes,
-)
 from .flatcfg import (
     ConfigError,
     get_int,
@@ -57,15 +32,15 @@ from .flatcfg import (
     parse_floats,
     parse_fraction,
 )
-from .hardy import (
-    ExprDomainError,
-    _check_magnitude,
-    _evaluate_chunks,
-    boshernitzan_condition,
-    verify_differential_inequalities,
-)
-from .literals import ExprSyntaxError, parse_expr
 from .primes import load_prime_cache, save_prime_cache, sieve, vaughan_decompose
+
+if TYPE_CHECKING:
+    from .ergodic import (DiagonalUnitarySystem, LatticeSet, SequenceSpec,
+                          SpectralMeasure, TorusSystem)
+
+# The modules behind the experiments (hardy and all that builds on it) are
+# imported by the handlers that use them, so `sieve` and `--version` load
+# only the prime sieve.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,7 +61,7 @@ class RunConfig:
     output: str | None = None
     fmt: str = "json"
     threads: int = 1
-    chunk: int = DEFAULT_CHUNK
+    chunk: int = 16384  # hardy.DEFAULT_CHUNK, a test keeps them equal
     table_limit: int = 2_000_000
 
     def effective(self) -> dict:
@@ -193,12 +168,23 @@ def _get_table(config: RunConfig):
         if table is not None and table.limit == config.table_limit:
             return table
     table = sieve(config.table_limit)
-    if cache:
-        save_prime_cache(table, cache)
+    _save_cache(table, cache)
     return table
 
 
+def _save_cache(table, cache) -> None:
+    """Write the cache, if one is set; a path that cannot be written exits 2."""
+    if cache:
+        try:
+            save_prime_cache(table, cache)
+        except OSError as exc:
+            raise UsageError(f"cannot write prime cache {cache}: "
+                             f"{exc.strerror or exc}") from exc
+
+
 def _parse_expr_arg(text: str):
+    from .literals import ExprSyntaxError, parse_expr
+
     try:
         return parse_expr(text)
     except ExprSyntaxError as exc:
@@ -211,8 +197,7 @@ def _parse_expr_arg(text: str):
 def _cmd_sieve(config: RunConfig) -> int:
     table = sieve(config.table_limit)
     cache = _cache_path(config)
-    if cache:
-        save_prime_cache(table, cache)
+    _save_cache(table, cache)
     rows = sorted(table.pi_checkpoints.items())
     results = {
         "limit": table.limit,
@@ -227,6 +212,8 @@ def _cmd_sieve(config: RunConfig) -> int:
 
 
 def _cmd_ud_test(config: RunConfig) -> int:
+    from .discrepancy import equidistribution_report
+
     p = config.parameters
     expr = _parse_expr_arg(p["expr"])
     domain = p["domain"]
@@ -264,6 +251,8 @@ def _cmd_ud_test(config: RunConfig) -> int:
 
 
 def _cmd_weyl_sum(config: RunConfig) -> int:
+    from .expsums import weyl_sum_integers, weyl_sum_primes
+
     p = config.parameters
     phase = _parse_expr_arg(p["expr"])
     if p["domain"] == "integers":
@@ -290,6 +279,10 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
     X, u, v = p["X"], p["u"], p["v"]
     size = max(X, 0) + 1  # X < v is vaughan_decompose's to refuse
     if p["phase"] is not None:
+        from .ddarith import frac_nearest
+        from .expsums import e
+        from .hardy import _check_magnitude, _evaluate_chunks
+
         phase = _parse_expr_arg(p["phase"])
         _check_magnitude(phase, float(X))
         tbl = np.zeros(size, dtype=complex)
@@ -310,6 +303,11 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
 
 
 def _cmd_bound_check(config: RunConfig) -> int:
+    from .discrepancy import fractional_parts
+    from .expsums import (composite_bound_eval, erdos_turan_bound,
+                          kusmin_landau_check, vdc_inequality_check)
+    from .hardy import verify_differential_inequalities
+
     p = config.parameters
     which = p["which"]
     if which in ("kusmin-landau", "composite", "erdos-turan", "differential") \
@@ -352,6 +350,9 @@ def _cmd_bound_check(config: RunConfig) -> int:
 
 
 def _build_spec(cfg: dict) -> SequenceSpec:
+    from .ergodic import SequenceSpec
+    from .literals import ExprSyntaxError, parse_expr
+
     exprs = []
     if cfg.get("exprs"):
         for literal in cfg["exprs"].split(";"):
@@ -374,6 +375,8 @@ def _build_spec(cfg: dict) -> SequenceSpec:
 
 
 def _build_unitary(cfg: dict) -> DiagonalUnitarySystem:
+    from .ergodic import DiagonalUnitarySystem
+
     freq = [parse_floats(row) for row in indexed_rows(cfg, "freq")]
     if not freq:
         raise ConfigError("diagonal-unitary config needs freq.1 ... rows")
@@ -385,6 +388,8 @@ def _build_unitary(cfg: dict) -> DiagonalUnitarySystem:
 
 
 def _build_torus(cfg: dict) -> TorusSystem:
+    from .ergodic import Box, TorusSystem
+
     m = get_int(cfg, "m")
     alphas = [parse_floats(row) for row in indexed_rows(cfg, "alpha")]
     if len(alphas) != m:
@@ -402,6 +407,8 @@ def _build_torus(cfg: dict) -> TorusSystem:
 
 
 def _build_lattice(cfg: dict) -> LatticeSet:
+    from .ergodic import LatticeSet
+
     if "period" not in cfg:
         raise ConfigError("lattice config needs 'period'")
     period = tuple(int(t) for t in cfg["period"].split())
@@ -414,6 +421,8 @@ def _build_lattice(cfg: dict) -> LatticeSet:
 
 
 def _build_measure(cfg: dict) -> SpectralMeasure:
+    from .ergodic import SpectralMeasure
+
     k = get_int(cfg, "k")
     atoms = []
     for row in indexed_rows(cfg, "atom"):
@@ -447,6 +456,8 @@ def _load_experiment(config: RunConfig) -> dict:
 
 
 def _cmd_ergodic_average(config: RunConfig) -> int:
+    from .ergodic import ergodic_average
+
     cfg = _load_experiment(config)
     if cfg.get("kind", "diagonal-unitary") != "diagonal-unitary":
         raise UsageError("ergodic-average expects kind = diagonal-unitary")
@@ -462,6 +473,9 @@ def _cmd_ergodic_average(config: RunConfig) -> int:
 
 
 def _cmd_recurrence_scan(config: RunConfig) -> int:
+    from .ergodic import (filtered_recurrence, lattice_recurrence_scan,
+                          torus_recurrence_average)
+
     cfg = _load_experiment(config)
     kind = cfg.get("kind")
     spec = _build_spec(cfg)
@@ -486,6 +500,8 @@ def _cmd_recurrence_scan(config: RunConfig) -> int:
 
 
 def _cmd_fcplus_probe(config: RunConfig) -> int:
+    from .ergodic import fcplus_probe
+
     cfg = _load_experiment(config)
     sigma = _build_measure(cfg)
     spec = _build_spec(cfg)
@@ -497,6 +513,10 @@ def _cmd_fcplus_probe(config: RunConfig) -> int:
 
 
 def _cmd_corpus_run(config: RunConfig) -> int:
+    from .corpus import CONTROL_CORPUS
+    from .discrepancy import equidistribution_report
+    from .hardy import boshernitzan_condition
+
     p = config.parameters
     N = p["N"]
     if N < 2_000:
@@ -712,8 +732,8 @@ def main(argv=None) -> int:
     config = config_from_args(args)
     try:
         return run(config)
-    except (UsageError, ConfigError, ExprSyntaxError, ExprDomainError,
-            ValueError, OverflowError) as exc:
+    # ExprSyntaxError and ExprDomainError are ValueErrors too
+    except (UsageError, ConfigError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # numpy's message names the refused size

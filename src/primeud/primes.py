@@ -76,7 +76,10 @@ def _sieve_segment(low: int, high: int, base: np.ndarray) -> np.ndarray:
         if start >= high:
             continue
         mask[(start - low) // 2 :: p] = False
-    return low + 2 * np.flatnonzero(mask).astype(np.int64)
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+    primes *= 2
+    primes += low
+    return primes
 
 
 def sieve(limit: int) -> PrimeTable:
@@ -309,13 +312,13 @@ def save_prime_cache(table: PrimeTable, path) -> None:
     deltas = np.empty(len(primes), dtype="<u8")
     if len(primes):
         deltas[0] = primes[0]
-        deltas[1:] = np.diff(primes).astype("<u8")
+        np.subtract(primes[1:], primes[:-1], out=deltas[1:], casting="unsafe")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(_CACHE_MAGIC)
             f.write(struct.pack("<QQQ", _CACHE_VERSION, table.limit, len(primes)))
-            f.write(deltas.tobytes())
+            f.write(memoryview(deltas))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -11,9 +11,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from primeud.cli import CACHE_ENV, _jsonable, main
+from primeud.cli import CACHE_ENV, RunConfig, _jsonable, main
 from primeud.corpus import CONTROL_CORPUS
 from primeud.ergodic import FcPlusResult
+from primeud.hardy import DEFAULT_CHUNK
 from primeud.literals import format_expr, parse_expr
 from primeud.primes import save_prime_cache, sieve
 
@@ -305,6 +306,11 @@ def test_cache_env_var_sets_default_dir(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "w2.json")) == 0
 
 
+def test_chunk_default_is_the_library_default():
+    # cli.py does not import hardy at module level, so it spells the value out
+    assert RunConfig.chunk == DEFAULT_CHUNK
+
+
 def test_sieve_cache_named_after_limit(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     out = tmp_path / "s.json"
@@ -315,6 +321,26 @@ def test_sieve_cache_named_after_limit(tmp_path, monkeypatch):
     assert blob["results"]["cache"] == str(cache)
     # only an explicit --cache is part of the config
     assert blob["config"]["parameters"]["cache"] is None
+
+
+@pytest.mark.parametrize("argv, via_env", [
+    (["ud-test", "--expr", "x^(1/2)", "--N", "100", "--table-limit", "10000"], False),
+    (["sieve", "--limit", "1000"], False),
+    (["sieve", "--limit", "1000"], True),
+])
+def test_unwritable_cache_exits_2(argv, via_env, tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing" / "dir"
+    if via_env:
+        monkeypatch.setenv(CACHE_ENV, str(missing))
+        cache = missing / "primes_1000.bin"
+    else:
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        cache = missing / "x.bin"
+        argv = argv + ["--cache", str(cache)]
+    assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write prime cache {cache}" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 TORUS_CFG = str(ROOT / "tests" / "golden" / "torus.cfg")  # table_limit = 10^6

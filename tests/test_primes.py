@@ -378,3 +378,20 @@ def test_prime_cache_write_replaces_whole_file(tmp_path, table100k, monkeypatch)
         save_prime_cache(table100k, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["primes.bin"]
+
+
+def _reference_cache_bytes(table):
+    """Version-1 cache bytes built independently of `save_prime_cache`."""
+    primes = np.asarray(table.primes, dtype=np.int64)
+    deltas = np.diff(primes, prepend=0).astype("<u8").tobytes()
+    return (b"UDPRIMES" + struct.pack("<QQQ", 1, table.limit, len(primes))
+            + deltas)
+
+
+# 5 * 10^6 spans three sieve segments (see test_sieve_small_segments_agree)
+@pytest.mark.parametrize("limit", [2, 3, 10, 100_000, 5_000_000])
+def test_prime_cache_bytes_match_reference_encoder(tmp_path, limit):
+    table = sieve(limit)
+    path = tmp_path / "primes.bin"
+    save_prime_cache(table, path)
+    assert path.read_bytes() == _reference_cache_bytes(table)
