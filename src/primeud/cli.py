@@ -4,8 +4,8 @@ with reproducible, config-hashed artifacts.
 Exit codes: 0 success, 2 validation/usage error, 3 mathematical assertion
 failure (a bound that must hold reported holds=false, or a corpus control
 missing its criterion).  Identical config + seed produce byte-identical
-artifacts for a fixed chunk size: outputs carry no timestamps and keys are
-sorted.
+artifacts at any thread count (the chunk size is the constant
+hardy.DEFAULT_CHUNK): outputs carry no timestamps and keys are sorted.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ class RunConfig:
     output: str | None = None
     fmt: str = "json"
     threads: int = 1
-    chunk: int = 16384  # hardy.DEFAULT_CHUNK, a test keeps them equal
     table_limit: int = 2_000_000
 
     def effective(self) -> dict:
-        """Every field but the output path (``fmt`` as ``format``), and the version."""
+        """Every field but the output path and the thread count (``fmt`` as
+        ``format``), and the version."""
         eff = _jsonable(self)
-        del eff["output"]
+        del eff["output"], eff["threads"]
         eff["format"] = eff.pop("fmt")
         return {**eff, "version": __version__}
 
@@ -234,8 +234,7 @@ def _cmd_ud_test(config: RunConfig) -> int:
     for N in checkpoints:
         rep = equidistribution_report(
             expr, p["q"], domain, N, table,
-            modulus=p["modulus"], residue=p["residue"],
-            chunk_size=config.chunk, threads=config.threads,
+            modulus=p["modulus"], residue=p["residue"], threads=config.threads,
         )
         reports.append(rep)
     csv_rows = [
@@ -259,13 +258,12 @@ def _cmd_weyl_sum(config: RunConfig) -> int:
         if p["range"] is None:
             raise UsageError("--range A B is required for the integers domain")
         a, b = p["range"]
-        res = weyl_sum_integers(phase, p["q"], a, b,
-                                chunk_size=config.chunk, threads=config.threads)
+        res = weyl_sum_integers(phase, p["q"], a, b, threads=config.threads)
     else:
         table = _get_table(config)
         X = p["X"] or config.table_limit
         res = weyl_sum_primes(phase, p["q"], X, table, X0=p["X0"],
-                              chunk_size=config.chunk, threads=config.threads)
+                              threads=config.threads)
     _emit(config, res)
     return EXIT_OK
 
@@ -288,8 +286,7 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
         tbl = np.zeros(size, dtype=complex)
         np.concatenate(_evaluate_chunks(
             phase, np.arange(2, size, dtype=np.int64),
-            lambda vals, _: e(frac_nearest(vals)),
-            chunk_size=config.chunk, threads=config.threads, first=2),
+            lambda vals, _: e(frac_nearest(vals)), threads=config.threads, first=2),
             out=tbl[2:])
     else:
         rng = np.random.default_rng(config.seed)
@@ -319,7 +316,7 @@ def _cmd_bound_check(config: RunConfig) -> int:
             raise UsageError("kusmin-landau needs --range A B")
         phase = _parse_expr_arg(p["expr"])
         rep = kusmin_landau_check(phase, p["q"], p["range"][0], p["range"][1],
-                                  chunk_size=config.chunk, threads=config.threads)
+                                  threads=config.threads)
     elif which == "vdc":
         rng = np.random.default_rng(config.seed)
         vals = np.exp(2j * np.pi * rng.random(p["N"]))
@@ -328,12 +325,12 @@ def _cmd_bound_check(config: RunConfig) -> int:
     elif which == "composite":
         phase = _parse_expr_arg(p["expr"])
         rep = composite_bound_eval(phase, p["q"], p["k"], p["X1"], p["X"],
-                                   chunk_size=config.chunk, threads=config.threads)
+                                   threads=config.threads)
     elif which == "erdos-turan":
         expr = _parse_expr_arg(p["expr"])
         table = _get_table(config)
         sample = fractional_parts(expr, p["q"], "primes", p["N"], table,
-                                  chunk_size=config.chunk, threads=config.threads)
+                                  threads=config.threads)
         rep = erdos_turan_bound(sample.points, p["Q"])
         must_hold = True
     elif which == "differential":
@@ -468,7 +465,7 @@ def _cmd_ergodic_average(config: RunConfig) -> int:
     N = get_int(cfg, "N")
     table = _get_table(config)
     res = ergodic_average(sysm, spec.exprs, N, table)
-    _emit(config, res, N=N, table_limit=table.limit, chunk_size=config.chunk)
+    _emit(config, res, N=N, table_limit=table.limit)
     return EXIT_OK
 
 
@@ -494,8 +491,7 @@ def _cmd_recurrence_scan(config: RunConfig) -> int:
         res = torus_recurrence_average(target, spec, N, table)
     else:
         res = lattice_recurrence_scan(target, spec, N, table)
-    _emit(config, res, kind=kind, margin=res.margin, table_limit=table.limit,
-          chunk_size=config.chunk)
+    _emit(config, res, kind=kind, margin=res.margin, table_limit=table.limit)
     return EXIT_OK
 
 
@@ -508,7 +504,7 @@ def _cmd_fcplus_probe(config: RunConfig) -> int:
     N = get_int(cfg, "N")
     table = _get_table(config)
     res = fcplus_probe(sigma, spec, N, table)
-    _emit(config, res, table_limit=table.limit, chunk_size=config.chunk)
+    _emit(config, res, table_limit=table.limit)
     return EXIT_OK
 
 
@@ -530,7 +526,6 @@ def _cmd_corpus_run(config: RunConfig) -> int:
         stars = {}
         for n in checkpoints:
             rep = equidistribution_report(expr, 1, "primes", n, table,
-                                          chunk_size=config.chunk,
                                           threads=config.threads)
             stars[n] = rep.star
         criterion = boshernitzan_condition(expr)
@@ -593,16 +588,15 @@ def _floats(text: str) -> list[float]:
 
 def _add_common(sp, *groups):
     """--out and --format, plus the flags of each named group: "seed",
-    "chunks" (--threads, --chunk), "table" (--table-limit) and "cache"."""
+    "threads", "table" (--table-limit) and "cache"."""
     sp.add_argument("--out", default=None, help="artifact path (default: stdout)")
     sp.add_argument("--format", default=None,
                     choices=["json", "csv", "plotdata"], dest="fmt",
                     help="default: inferred from --out extension, else json")
     if "seed" in groups:
         sp.add_argument("--seed", type=int, default=RunConfig.seed)
-    if "chunks" in groups:
+    if "threads" in groups:
         sp.add_argument("--threads", type=_positive_int, default=RunConfig.threads)
-        sp.add_argument("--chunk", type=_positive_int, default=RunConfig.chunk)
     if "table" in groups:
         sp.add_argument("--table-limit", type=int, default=RunConfig.table_limit)
     if "cache" in groups:
@@ -632,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--checkpoints", type=_positive_ints, default=None,
                     help="comma-separated N checkpoints (default: just N)")
-    _add_common(sp, "chunks", "table", "cache")
+    _add_common(sp, "threads", "table", "cache")
 
     sp = sub.add_parser("weyl-sum", help="exponential sum over a range or primes")
     sp.add_argument("--expr", required=True)
@@ -641,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--range", type=int, nargs=2, default=None, metavar=("A", "B"))
     sp.add_argument("--X", type=int, default=None)
     sp.add_argument("--X0", type=int, default=None)
-    _add_common(sp, "chunks", "table", "cache")
+    _add_common(sp, "threads", "table", "cache")
 
     sp = sub.add_parser("vaughan-check", help="bilinear decomposition identity")
     sp.add_argument("--X", type=int, required=True)
@@ -649,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", type=int, required=True)
     sp.add_argument("--phase", default=None,
                     help="g(n) = e(phase(n)); omit for seeded random unit g")
-    _add_common(sp, "seed", "chunks")
+    _add_common(sp, "seed", "threads")
 
     sp = sub.add_parser("bound-check", help="bound-vs-actual evaluators")
     sp.add_argument("--which", required=True,
@@ -667,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j-max", type=int, default=2, dest="j_max")
     sp.add_argument("--samples", type=_floats, default=None,
                     help="comma-separated x samples for --which differential")
-    _add_common(sp, "seed", "chunks", "table", "cache")
+    _add_common(sp, "seed", "threads", "table", "cache")
 
     for name, help_ in [
         ("ergodic-average", "mean average of a diagonal-unitary system"),
@@ -681,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corpus-run", help="positive/negative control matrix")
     sp.add_argument("--N", type=int, default=10_000)
-    _add_common(sp, "chunks", "table", "cache")
+    _add_common(sp, "threads", "table", "cache")
     return ap
 
 
@@ -703,7 +697,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     rest to ``parameters``; a flag it lacks keeps the RunConfig default."""
     params = dict(vars(args))
     command, out, fmt = params.pop("command"), params.pop("out"), params.pop("fmt")
-    run_flags = {k: params.pop(k) for k in ("seed", "threads", "chunk", "table_limit")
+    run_flags = {k: params.pop(k) for k in ("seed", "threads", "table_limit")
                  if k in params}
     if command == "sieve":
         run_flags["table_limit"] = params.pop("limit")

@@ -1,10 +1,7 @@
 """Exact discrepancy computation and equidistribution testing along
 integers, primes, and primes in arithmetic progressions.
 
-Star discrepancy is the closed-form order-statistics maximum (O(N log N));
-the two-sided (extreme) discrepancy enumerates candidate endpoint pairs
-exactly and is capped at N <= 10^4, beyond which reports carry the
-[D*, 2 D*] sandwich instead.
+Star discrepancy is the closed-form order-statistics maximum (O(N log N)).
 """
 
 from __future__ import annotations
@@ -17,11 +14,10 @@ import numpy as np
 
 from .expsums import _circle_sum, erdos_turan_bound, weyl_moduli
 from .errors import GateError
-from .hardy import DEFAULT_CHUNK, HardyExpr, _check_magnitude, _evaluate_chunks
+from .hardy import HardyExpr, _check_magnitude, _evaluate_chunks
 from .ddarith import frac_unit
 from .primes import PrimeTable
 
-EXTREME_CAP = 10_000  # largest N for the O(N^2) extreme discrepancy
 ET_Q = 50  # harmonics in the Erdos-Turan bound of every report
 WEYL_Q_MAX = 10  # harmonic moduli a report lists (WEYL_Q_MAX <= ET_Q)
 
@@ -42,38 +38,6 @@ def star_discrepancy(points) -> float:
     N = len(pts)
     i = np.arange(1, N + 1, dtype=np.float64)
     return float(np.max(np.maximum(i / N - pts, pts - (i - 1.0) / N)))
-
-
-def extreme_discrepancy(points) -> float:
-    """Exact two-sided discrepancy sup over subintervals [alpha, beta).
-
-    Candidate endpoints are the sample values plus 0 and 1: the excess part
-    closes the interval at sample points, the deficiency part opens it.
-    Note the sup for a single point set {x} is 1 (a vanishing interval
-    around x holds all the mass), and D* <= D <= 2 D* always.  O(N^2), so
-    capped at N <= EXTREME_CAP.
-    """
-    pts = _validate_points(points)
-    N = len(pts)
-    if N > EXTREME_CAP:
-        raise ValueError(f"extreme discrepancy is O(N^2); capped at N = {EXTREME_CAP}")
-    vals = np.unique(np.concatenate([pts, [0.0, 1.0]]))
-    sorted_pts = np.sort(pts)
-    # counts of points < v and <= v for each candidate endpoint v
-    below = np.searchsorted(sorted_pts, vals, side="left").astype(np.float64)
-    upto = np.searchsorted(sorted_pts, vals, side="right").astype(np.float64)
-    best = 0.0
-    for i in range(len(vals)):
-        a = vals[i]
-        bs = vals[i:]
-        # closed [a, b]: maximal excess of points over length
-        closed = (upto[i:] - below[i]) / N - (bs - a)
-        # open (a, b): maximal deficiency
-        open_ = (bs - a) - (below[i:] - upto[i]) / N
-        m = max(float(np.max(closed)), float(np.max(open_)))
-        if m > best:
-            best = m
-    return best
 
 
 # -- point generation ---------------------------------------------------------------
@@ -110,7 +74,6 @@ def _domain_indices(domain: str, N: int, table: PrimeTable | None,
 def fractional_parts(expr: HardyExpr, q: int, domain: str, N: int,
                      table: PrimeTable | None = None, *,
                      modulus: int = 1, residue: int = 0,
-                     chunk_size: int = DEFAULT_CHUNK,
                      threads: int = 1) -> PointSample:
     """First N values {q * expr(n)} over the chosen index domain, evaluated
     in compensated precision with near-integer boundary events logged."""
@@ -124,8 +87,7 @@ def fractional_parts(expr: HardyExpr, q: int, domain: str, N: int,
         pts, events = np.zeros(len(ns)), 0
     else:
         parts = _evaluate_chunks(
-            expr, ns, lambda v, _: frac_unit(v * float(q)),
-            chunk_size=chunk_size, threads=threads)
+            expr, ns, lambda v, _: frac_unit(v * float(q)), threads=threads)
         pts = np.concatenate([p for p, _ in parts])
         events = sum(ev for _, ev in parts)
     source = {"expr": str(expr), "q": q, "domain": domain, "N": N}
@@ -145,44 +107,29 @@ class DiscrepancyReport:
     weyl_moduli: tuple[tuple[int, float], ...]
     source: dict
     boundary_events: int = 0
-    extreme: float | None = None
-    extreme_lo: float | None = None  # D* <= D <= 2 D* sandwich when capped
-    extreme_hi: float | None = None
 
 
-def report_from_points(sample: PointSample, *,
-                       with_extreme: bool = False) -> DiscrepancyReport:
+def report_from_points(sample: PointSample) -> DiscrepancyReport:
     pts = sample.points
-    N = len(pts)
     star = star_discrepancy(pts)
     harmonics = weyl_moduli(pts, ET_Q)
     et = erdos_turan_bound(pts, ET_Q, star=star, harmonics=harmonics)
     if not et.holds:
         raise GateError("harmonic bound must dominate the exact star discrepancy")
-    moduli = tuple(harmonics[:WEYL_Q_MAX])
-    extreme = lo = hi = None
-    if with_extreme:
-        if N <= EXTREME_CAP:
-            extreme = extreme_discrepancy(pts)
-        else:
-            lo, hi = star, 2.0 * star
     return DiscrepancyReport(
-        N=N, star=star, et_bound=et.bound, weyl_moduli=moduli,
-        source=sample.source, boundary_events=sample.boundary_events,
-        extreme=extreme, extreme_lo=lo, extreme_hi=hi,
+        N=len(pts), star=star, et_bound=et.bound,
+        weyl_moduli=tuple(harmonics[:WEYL_Q_MAX]), source=sample.source,
+        boundary_events=sample.boundary_events,
     )
 
 
 def equidistribution_report(expr: HardyExpr, q: int, domain: str, N: int,
                             table: PrimeTable | None = None, *,
                             modulus: int = 1, residue: int = 0,
-                            chunk_size: int = DEFAULT_CHUNK,
-                            threads: int = 1,
-                            with_extreme: bool = False) -> DiscrepancyReport:
+                            threads: int = 1) -> DiscrepancyReport:
     sample = fractional_parts(expr, q, domain, N, table, modulus=modulus,
-                              residue=residue, chunk_size=chunk_size,
-                              threads=threads)
-    return report_from_points(sample, with_extreme=with_extreme)
+                              residue=residue, threads=threads)
+    return report_from_points(sample)
 
 
 # -- joint equidistribution via finite frequency sets ---------------------------------

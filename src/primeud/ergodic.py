@@ -9,8 +9,8 @@ to the polynomial coordinates, never inside xi.  Floors use the documented
 near-integer tie-break and log boundary events; they come from
 hardy.floor_array, which takes double-double only near an integer.
 Scans stream the index vectors chunk by chunk and hold no N-length array;
-partial sums are added exactly, so results are bit-identical for a fixed
-chunk size.
+partial sums are added exactly, so results are byte-identical at any thread
+count; the chunk size is the constant hardy.DEFAULT_CHUNK.
 """
 
 from __future__ import annotations

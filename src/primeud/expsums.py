@@ -7,7 +7,8 @@ exponential is called, so sin/cos never see the raw magnitude of the phase.
 Sums run through ``hardy._evaluate_chunks`` and add the per-chunk sums
 with an exactly rounded ``math.fsum``: an integer range is chunked at
 absolute multiples of the chunk size, a prime list by position in the list.
-A sum is bit-deterministic for a given chunk size, whatever the thread count.
+A sum is byte-identical at any thread count; the chunk size is the constant
+``hardy.DEFAULT_CHUNK``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .ddarith import frac_nearest
 from .errors import GateError
 from .hardy import (
-    DEFAULT_CHUNK,
     HardyExpr,
     _check_magnitude,
     _evaluate_chunks,
@@ -68,7 +68,6 @@ class BoundReport:
     advisory: bool = False
     note: str = ""
     params: dict = field(default_factory=dict)
-    chunk_size: int = DEFAULT_CHUNK
     precision_mode: str = "compensated"
 
     @property
@@ -99,7 +98,6 @@ def _circle_sums(q: int):
 
 
 def weyl_sum_integers(phase: HardyExpr, q: int, a: int, b: int, *,
-                      chunk_size: int = DEFAULT_CHUNK,
                       threads: int = 1) -> ExpSumResult:
     """sum_{n=a}^{b} e(q * phase(n)); compensated phase arithmetic throughout.
 
@@ -112,14 +110,12 @@ def weyl_sum_integers(phase: HardyExpr, q: int, a: int, b: int, *,
         raise ValueError(f"need b >= a >= {lo} for this phase")
     _check_magnitude(phase, float(b), q)
     parts = _evaluate_chunks(phase, np.arange(a, b + 1, dtype=np.int64),
-                             _circle_sums(q), chunk_size=chunk_size,
-                             threads=threads, first=a)
+                             _circle_sums(q), threads=threads, first=a)
     return ExpSumResult.make(_fsum_complex(parts), b - a + 1)
 
 
 def weyl_sum_primes(phase: HardyExpr, q: int, X: int, table: PrimeTable, *,
-                    X0: int | None = None, chunk_size: int = DEFAULT_CHUNK,
-                    threads: int = 1) -> ExpSumResult:
+                    X0: int | None = None, threads: int = 1) -> ExpSumResult:
     """sum over primes p <= X (optionally restricted to X0 < p) of
     e(q * phase(p))."""
     if q == 0:
@@ -130,8 +126,7 @@ def weyl_sum_primes(phase: HardyExpr, q: int, X: int, table: PrimeTable, *,
     if X0 is not None:
         lo = int(np.searchsorted(table.primes, X0, side="right"))
     ps = table.primes[lo:hi]
-    parts = _evaluate_chunks(phase, ps, _circle_sums(q),
-                             chunk_size=chunk_size, threads=threads)
+    parts = _evaluate_chunks(phase, ps, _circle_sums(q), threads=threads)
     return ExpSumResult.make(_fsum_complex(parts), len(ps))
 
 
@@ -152,7 +147,6 @@ def _derivative_profile(deriv: HardyExpr, q: int, a: float, b: float):
 
 
 def kusmin_landau_check(phase: HardyExpr, q: int, a: int, b: int, *,
-                        chunk_size: int = DEFAULT_CHUNK,
                         threads: int = 1) -> BoundReport:
     """|sum_{n=a}^{b} e(q phase(n))| against 2/(pi lambda) + 1, where lambda
     is the distance of q*phase' from the integers on [a, b].
@@ -161,7 +155,7 @@ def kusmin_landau_check(phase: HardyExpr, q: int, a: int, b: int, *,
     verified numerically on a dense grid; violations flag the report as
     invalid rather than raising.
     """
-    s = weyl_sum_integers(phase, q, a, b, chunk_size=chunk_size, threads=threads)
+    s = weyl_sum_integers(phase, q, a, b, threads=threads)
     deriv = differentiate(phase)
     vals, monotone = _derivative_profile(deriv, q, float(a), float(b))
     dist = np.abs(vals - np.rint(vals))
@@ -177,7 +171,7 @@ def kusmin_landau_check(phase: HardyExpr, q: int, a: int, b: int, *,
     bound = (2.0 / (math.pi * lam) + 1.0) if lam > 0 else math.inf
     rep = _make_bound_report(
         "kusmin-landau", actual, bound,
-        valid=valid, note=note, chunk_size=chunk_size,
+        valid=valid, note=note,
         params={"q": q, "a": a, "b": b, "lambda": lam, "count": s.count},
     )
     return rep
@@ -214,7 +208,6 @@ def vdc_inequality_check(vals, H: int) -> BoundReport:
 
 
 def composite_bound_eval(phase: HardyExpr, q: int, k: int, X1: int, X: int, *,
-                         chunk_size: int = DEFAULT_CHUNK,
                          threads: int = 1) -> BoundReport:
     """k-th iterated shift bound on I = (X1, X1+X] subset (X1, 2 X1]:
 
@@ -237,8 +230,7 @@ def composite_bound_eval(phase: HardyExpr, q: int, k: int, X1: int, X: int, *,
     top = float(np.max(avals))
     valid = monotone and lam > 0.0
     note = "" if valid else "derivative hypothesis fails (lambda = 0 or not monotone)"
-    s = weyl_sum_integers(phase, q, X1 + 1, X1 + X,
-                          chunk_size=chunk_size, threads=threads)
+    s = weyl_sum_integers(phase, q, X1 + 1, X1 + X, threads=threads)
     actual = abs(s.sum)
     if valid:
         alpha = top / lam
@@ -254,7 +246,7 @@ def composite_bound_eval(phase: HardyExpr, q: int, k: int, X1: int, X: int, *,
         bound = math.inf
     rep = _make_bound_report(
         "iterated-shift-bound", actual, bound,
-        valid=valid, advisory=True, note=note, chunk_size=chunk_size,
+        valid=valid, advisory=True, note=note,
         params={"q": q, "k": k, "X1": X1, "X": X, "lambda": lam,
                 "alpha": alpha, "constant": COMPOSITE_CONSTANT},
     )

@@ -20,6 +20,7 @@ double-double only where the band reaches an integer.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,8 @@ RATIONAL_UNIT = ""
 # within 2x of it), but 4.8e-9 at 2^76, already above BOUNDARY_TOL.
 COMPENSATED_LIMIT = float(2**70)
 
-# Points per chunk of a compensated phase evaluation (see _map_chunks).
+# Points per chunk of every chunked evaluation and scan (see _map_chunks):
+# the one chunk size, fastest at 1 and 2 threads of those measured.
 DEFAULT_CHUNK = 16384
 
 # Error band of a double evaluation (see floor_array).  Per term, the double
@@ -388,29 +390,29 @@ def evaluate_array(expr: HardyExpr | Sequence[HardyExpr], xs,
     return out[0] if isinstance(expr, HardyExpr) else out
 
 
-def _map_chunks(work, ns, *, chunk_size: int = DEFAULT_CHUNK, threads: int = 1,
-                first: int = 0) -> list:
+def _map_chunks(work, ns, *, threads: int = 1, first: int = 0) -> list:
     """work(chunk, start) for each chunk of ns, in order; start is the
     chunk's position in ns.
 
     ns is cut before every position i at which the absolute index first + i
-    is a multiple of chunk_size; an empty ns is one empty chunk.  The chunks
-    depend on chunk_size and first only: a thread pool runs them when
-    threads > 1 and there is more than one, and the results come back in the
-    same order either way.
+    is a multiple of DEFAULT_CHUNK (read at the call); an empty ns is one
+    empty chunk.  The chunks depend on first only: when threads > 1 and
+    there is more than one chunk, a pool of at most threads, chunks and CPUs
+    workers runs them, and the results come back in the same order either
+    way.
     """
     ns = np.asarray(ns)
-    cuts = range(chunk_size - first % chunk_size, len(ns), chunk_size)
+    cuts = range(DEFAULT_CHUNK - first % DEFAULT_CHUNK, len(ns), DEFAULT_CHUNK)
     chunks, starts = np.split(ns, cuts), [0, *cuts]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, chunks, starts))
     return [work(c, s) for c, s in zip(chunks, starts)]
 
 
 def _evaluate_chunks(expr: HardyExpr | Sequence[HardyExpr], ns, reduce, *,
-                     chunk_size: int = DEFAULT_CHUNK, threads: int = 1,
-                     first: int = 0) -> list:
+                     threads: int = 1, first: int = 0) -> list:
     """reduce(compensated expr values, chunk) for each chunk of ns, in order
     (the chunks and threads of _map_chunks).  For a sequence of expressions
     reduce sees the list of their values on one shared basis (see
@@ -420,8 +422,7 @@ def _evaluate_chunks(expr: HardyExpr | Sequence[HardyExpr], ns, reduce, *,
         return reduce(evaluate_array(expr, chunk.astype(np.float64),
                                      "compensated"), chunk)
 
-    return _map_chunks(work, ns, chunk_size=chunk_size, threads=threads,
-                       first=first)
+    return _map_chunks(work, ns, threads=threads, first=first)
 
 
 # -- floors ---------------------------------------------------------------------

@@ -11,10 +11,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from primeud.cli import CACHE_ENV, RunConfig, _jsonable, main
+from primeud import hardy
+from primeud.cli import CACHE_ENV, _jsonable, main
 from primeud.corpus import CONTROL_CORPUS
 from primeud.ergodic import FcPlusResult
-from primeud.hardy import DEFAULT_CHUNK
 from primeud.literals import format_expr, parse_expr
 from primeud.primes import save_prime_cache, sieve
 
@@ -92,20 +92,21 @@ def test_vaughan_check_artifact(tmp_path):
     assert blob["results"]["residual"] < 1e-9
 
 
-def test_vaughan_check_independent_of_chunks_and_threads(tmp_path):
+def test_vaughan_check_independent_of_chunks_and_threads(tmp_path, monkeypatch):
     # X = 50_001 is no multiple of either chunk size.
-    def results(phase, name, *flags):
+    def artifact(phase, name, *flags):
         out = tmp_path / f"{name}.json"
         assert run_cli("vaughan-check", "--X", "50001", "--u", "20", "--v", "20",
                        "--phase", phase, "--out", str(out), *flags) == 0
-        text = out.read_text()
-        return text[text.index('"results"'):]
+        return out.read_bytes()
 
     for phase in ("sqrt(2)*x^(3/2)", "x^(1/2) + log^2"):
-        default = results(phase, "default")
-        assert results(phase, "chunk", "--chunk", "1000") == default
-        assert results(phase, "threads1", "--threads", "1") == default
-        assert results(phase, "threads2", "--threads", "2") == default
+        default = artifact(phase, "default")
+        with monkeypatch.context() as m:
+            m.setattr(hardy, "DEFAULT_CHUNK", 1000)
+            assert artifact(phase, "chunk") == default
+        assert artifact(phase, "threads1", "--threads", "1") == default
+        assert artifact(phase, "threads2", "--threads", "2") == default
 
 
 @pytest.mark.parametrize("phase", ["x^(1/2) + log^2", "log^2"])
@@ -306,11 +307,6 @@ def test_cache_env_var_sets_default_dir(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "w2.json")) == 0
 
 
-def test_chunk_default_is_the_library_default():
-    # cli.py does not import hardy at module level, so it spells the value out
-    assert RunConfig.chunk == DEFAULT_CHUNK
-
-
 def test_sieve_cache_named_after_limit(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     out = tmp_path / "s.json"
@@ -422,9 +418,11 @@ X4_SCAN = ["recurrence-scan", "--table-limit", "300000", "--config"]
 @pytest.mark.parametrize("argv, message", [
     _case(UD_SMALL + ["--checkpoints", "10,abc"]),
     _case(UD_SMALL + ["--checkpoints", "10,0"]),
-    _case(UD_SMALL + ["--chunk", "0"]),
-    _case(UD_SMALL + ["--chunk", "-5"]),
+    _case(UD_SMALL + ["--threads", "x"]),
     _case(UD_SMALL + ["--threads", "0"]),
+    # the chunk size is no option: --chunk is refused whatever its value
+    _case(UD_SMALL + ["--chunk", "0"], "unrecognized arguments: --chunk 0"),
+    _case(UD_SMALL + ["--chunk", "-5"], "unrecognized arguments: --chunk -5"),
     _case(UD_SMALL + ["--domain", "primes_in_ap", "--modulus", "0"]),
     _case(UD_SMALL + ["--checkpoints", "10,10"],
           "checkpoints must be strictly increasing"),
@@ -467,8 +465,13 @@ X4_SCAN = ["recurrence-scan", "--table-limit", "300000", "--config"]
                         ("fcplus-probe", ["--config", "measure.cfg"])]
       for flag in ("--seed", "--threads", "--chunk")),
     _unread("ud-test", "--seed", "3", *UD_SMALL[1:]),
-    _unread("weyl-sum", "--seed", "3", "--expr", "x^(1/2)"),
-    _unread("corpus-run", "--seed", "3"),
+    *(_unread(cmd, flag, "3", *rest)
+      for cmd, rest, flags in [
+          ("weyl-sum", ["--expr", "x^(1/2)"], ("--seed", "--chunk")),
+          ("vaughan-check", ["--X", "100", "--u", "5", "--v", "5"], ("--chunk",)),
+          ("bound-check", ["--which", "vdc"], ("--chunk",)),
+          ("corpus-run", [], ("--seed", "--chunk"))]
+      for flag in flags),
 ])
 def test_invalid_flags_exit_2(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

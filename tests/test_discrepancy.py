@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from primeud.discrepancy import (
     equidistribution_report,
-    extreme_discrepancy,
     fractional_parts,
     joint_weyl_test,
     star_discrepancy,
 )
+from primeud import hardy
 from primeud.hardy import HardyExpr
 from primeud.literals import parse_expr
 
@@ -27,26 +27,6 @@ def star_brute_force(points):
         less = float(np.count_nonzero(pts < b))
         leq = float(np.count_nonzero(pts <= b))
         best = max(best, abs(less / N - b), abs(leq / N - b))
-    return best
-
-
-def extreme_brute_force(points):
-    """Enumerate all interval limit types over candidate endpoints."""
-    pts = np.asarray(points, dtype=np.float64)
-    N = len(pts)
-    cands = sorted(set([0.0, 1.0] + list(pts)))
-    best = 0.0
-    for a in cands:
-        for b in cands:
-            if b < a:
-                continue
-            for a_in in (True, False):
-                for b_in in (True, False):
-                    sel = ((pts > a) | (a_in & (pts == a))) & (
-                        (pts < b) | (b_in & (pts == b))
-                    )
-                    cnt = float(np.count_nonzero(sel))
-                    best = max(best, abs(cnt / N - (b - a)))
     return best
 
 
@@ -93,42 +73,6 @@ def test_star_validates_inputs():
         star_discrepancy([-0.1])
 
 
-# -- extreme discrepancy -------------------------------------------------------------
-
-
-def test_extreme_single_point_is_one():
-    # a vanishing interval around the point holds all the mass, so the
-    # two-sided sup for one point is 1 (and the D <= 2 D* sandwich is tight)
-    assert extreme_discrepancy([0.5]) == pytest.approx(1.0)
-
-
-def test_extreme_uniform_grid():
-    for N in (2, 10, 50):
-        grid = np.arange(N) / N
-        assert extreme_discrepancy(grid) <= 2.0 / N + 1e-12
-
-
-def test_extreme_sandwich_random(rng):
-    for _ in range(30):
-        N = int(rng.integers(1, 120))
-        pts = rng.random(N)
-        d_star = star_discrepancy(pts)
-        d = extreme_discrepancy(pts)
-        assert d_star - 1e-12 <= d <= 2.0 * d_star + 1e-12
-
-
-def test_extreme_matches_brute_force(rng):
-    for _ in range(15):
-        N = int(rng.integers(1, 40))
-        pts = np.round(rng.random(N), 3)
-        assert abs(extreme_discrepancy(pts) - extreme_brute_force(pts)) <= 1e-12
-
-
-def test_extreme_cap():
-    with pytest.raises(ValueError):
-        extreme_discrepancy(np.random.default_rng(0).random(10_001))
-
-
 # -- point generation -----------------------------------------------------------------
 
 
@@ -161,13 +105,15 @@ def test_fractional_parts_past_2_52():
     assert star_discrepancy(sample.points) < 0.01
 
 
-def test_fractional_parts_independent_of_chunks_and_threads(table2m):
+def test_fractional_parts_independent_of_chunks_and_threads(table2m, monkeypatch):
     expr = parse_expr("x^(1/2) + log^2")
-    ref = fractional_parts(expr, 1, "primes", 40_000, table2m, chunk_size=1000)
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 1000)
+    ref = fractional_parts(expr, 1, "primes", 40_000, table2m)
     for chunk_size in (1000, 16384):
+        monkeypatch.setattr(hardy, "DEFAULT_CHUNK", chunk_size)
         for threads in (1, 2):
             s = fractional_parts(expr, 1, "primes", 40_000, table2m,
-                                 chunk_size=chunk_size, threads=threads)
+                                 threads=threads)
             assert np.array_equal(s.points, ref.points)
             assert s.boundary_events == ref.boundary_events
 
@@ -217,13 +163,6 @@ def test_report_computes_harmonics_once(monkeypatch, table100k):
     assert rep.weyl_moduli == tuple(real_moduli(sample.points, disc.WEYL_Q_MAX))
     assert rep.weyl_moduli == tuple(used[0][:disc.WEYL_Q_MAX])
     assert rep.et_bound == real_et(sample.points, disc.ET_Q).bound
-
-
-def test_report_carries_extreme_or_sandwich(table100k):
-    rep = equidistribution_report(parse_expr("x^(1/2)"), 1, "primes", 500,
-                                  table100k, with_extreme=True)
-    assert rep.extreme is not None
-    assert rep.star <= rep.extreme <= 2 * rep.star + 1e-12
 
 
 def test_primes_in_ap_report_examples(table2m):

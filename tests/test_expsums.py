@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from primeud import hardy
 from primeud.cli import _jsonable
 from primeud.expsums import (
     ExpSumResult,
@@ -57,10 +58,12 @@ def test_split_range_reassembles():
         assert abs(whole.sum - (left.sum + right.sum)) < 1e-10
 
 
-def test_threading_is_bit_deterministic():
+def test_threading_is_bit_deterministic(monkeypatch):
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 1024)
+    monkeypatch.setattr(hardy.os, "cpu_count", lambda: 4)  # 4 workers on any CPU
     phase = parse_expr("sqrt(2)*x^2")
-    a = weyl_sum_integers(phase, 1, 2, 30_000, chunk_size=1024)
-    b = weyl_sum_integers(phase, 1, 2, 30_000, chunk_size=1024, threads=4)
+    a = weyl_sum_integers(phase, 1, 2, 30_000)
+    b = weyl_sum_integers(phase, 1, 2, 30_000, threads=4)
     assert a.sum == b.sum  # ordered reduction: thread count cannot matter
 
 

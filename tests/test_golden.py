@@ -30,14 +30,14 @@ GOLDEN = {
         "--table-limit", "1000000"],
     "ud_integers": [
         "ud-test", "--expr", "x^(1/2) + log^2", "--domain", "integers",
-        "--N", "30000", "--chunk", "1000"],
+        "--N", "30000"],
     "ud_primes_in_ap": [
         "ud-test", "--expr", "irr(0.318309886)*x^(5/3)",
         "--domain", "primes_in_ap", "--modulus", "4", "--residue", "3",
         "--N", "20000", "--table-limit", "1000000"],
     "weyl_integers": [
         "weyl-sum", "--expr", "pi*x^(3/2)", "--domain", "integers",
-        "--range", "777", "60000", "--chunk", "1000"],
+        "--range", "777", "60000"],
     "weyl_primes": [
         "weyl-sum", "--expr", "x^(1/2) + log^2", "--X", "1000000",
         "--X0", "12345", "--threads", "2", "--table-limit", "1000000"],
@@ -61,7 +61,7 @@ GOLDEN = {
         "--N", "20000", "--Q", "40", "--table-limit", "1000000"],
     "bound_kusmin_landau": [
         "bound-check", "--which", "kusmin-landau", "--expr", "x^(1/2)",
-        "--range", "1000", "40000", "--chunk", "4096"],
+        "--range", "1000", "40000"],
     "bound_vdc": ["bound-check", "--which", "vdc"],
     "bound_composite": [
         "bound-check", "--which", "composite", "--expr", "x^(3/2)",
@@ -84,6 +84,33 @@ def test_artifact_matches_golden(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.json"
     assert main(GOLDEN[name] + ["--out", str(out)]) == EXPECTED_EXIT.get(name, 0)
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+# The commands that take --threads, and the goldens they write.
+THREADED = ("ud-test", "weyl-sum", "vaughan-check", "bound-check", "corpus-run")
+THREADED_GOLDENS = sorted(n for n in GOLDEN if GOLDEN[n][0] in THREADED)
+
+
+def _with_threads(argv, threads):
+    if "--threads" in argv:
+        i = argv.index("--threads")
+        argv = argv[:i] + argv[i + 2:]
+    return argv + ["--threads", str(threads)]
+
+
+@pytest.mark.parametrize("name", THREADED_GOLDENS)
+def test_artifact_independent_of_threads(name, tmp_path, monkeypatch):
+    """The thread count is no part of an artifact: at 1 and 2 threads the
+    bytes are the golden's."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(GOLDEN_DIR)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on one CPU too
+    want = (GOLDEN_DIR / f"{name}.json").read_bytes()
+    for threads in (1, 2):
+        out = tmp_path / f"{name}_{threads}.json"
+        argv = _with_threads(GOLDEN[name], threads) + ["--out", str(out)]
+        assert main(argv) == EXPECTED_EXIT.get(name, 0)
+        assert out.read_bytes() == want, threads
 
 
 # Every bound check but `differential` (a table of ratio rows, not one

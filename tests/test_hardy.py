@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from primeud import hardy
 from primeud.ddarith import DD, dd_ipow, dd_log, dd_pow_frac, frac_nearest
 from primeud.expsums import e
 from primeud.hardy import (
@@ -460,39 +461,77 @@ def _chunk_lengths(ns, **kw):
     return _evaluate_chunks(parse_expr("x^(3/2)"), ns, lambda v, _: len(v.hi), **kw)
 
 
-def test_evaluate_chunks_cut_at_absolute_multiples():
+def test_evaluate_chunks_cut_at_absolute_multiples(monkeypatch):
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 1000)
     ns = np.arange(777, 3001)
-    assert _chunk_lengths(ns, chunk_size=1000, first=777) == [223, 1000, 1000, 1]
-    assert _chunk_lengths(ns[223:], chunk_size=1000, first=1000) == [1000, 1000, 1]
-    assert _chunk_lengths(ns, chunk_size=1000) == [1000, 1000, 224]
-    assert _chunk_lengths(ns[:5], chunk_size=1000, first=777) == [5]
+    assert _chunk_lengths(ns, first=777) == [223, 1000, 1000, 1]
+    assert _chunk_lengths(ns[223:], first=1000) == [1000, 1000, 1]
+    assert _chunk_lengths(ns) == [1000, 1000, 224]
+    assert _chunk_lengths(ns[:5], first=777) == [5]
     assert _chunk_lengths(ns[:0]) == [0]
 
 
-def test_evaluate_chunks_pass_each_chunks_integers():
+def test_evaluate_chunks_pass_each_chunks_integers(monkeypatch):
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 1000)
     ns = np.arange(777, 3001)
     got = _evaluate_chunks(parse_expr("x^(3/2)"), ns, lambda v, chunk: chunk,
-                           chunk_size=1000, first=777)
+                           first=777)
     assert [len(c) for c in got] == [223, 1000, 1000, 1]
     assert np.array_equal(np.concatenate(got), ns)
 
 
-def test_map_chunks_start_at_their_positions():
+def test_map_chunks_start_at_their_positions(monkeypatch):
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 1000)
     ns = np.arange(777, 3001)
     for threads in (1, 2):
         got = _map_chunks(lambda c, start: (start, len(c), int(c[0])), ns,
-                          chunk_size=1000, threads=threads, first=777)
+                          threads=threads, first=777)
         assert got == [(0, 223, 777), (223, 1000, 1000), (1223, 1000, 2000),
                        (2223, 1, 3000)]
 
 
-def test_evaluate_chunks_values_and_threads():
+@pytest.mark.parametrize("cpus, threads, chunks, workers", [
+    (2, 10**6, 100, 2),  # capped at the CPUs
+    (64, 10**6, 4, 4),   # at the chunks
+    (64, 3, 100, 3),     # at --threads
+    (None, 8, 100, 1),   # an unknown CPU count: no pool
+    (64, 8, 1, 1),       # one chunk: no pool
+])
+def test_map_chunks_bounds_the_thread_pool(monkeypatch, cpus, threads, chunks,
+                                           workers):
+    # the fake records the pool size and starts no thread
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(hardy, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(hardy.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 10)
+    got = _map_chunks(lambda c, start: start, np.arange(10 * chunks),
+                      threads=threads)
+    assert got == list(range(0, 10 * chunks, 10))
+    assert sizes == ([workers] if workers > 1 else [])
+
+
+def test_evaluate_chunks_values_and_threads(monkeypatch):
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 300)
     expr = parse_expr("x^(1/2) + log^2")
     ns = np.arange(5, 2000)
     whole = evaluate_array(expr, ns.astype(np.float64), "compensated")
     parts = {
         threads: _evaluate_chunks(expr, ns, lambda v, _: np.stack([v.hi, v.lo]),
-                                  chunk_size=300, threads=threads, first=5)
+                                  threads=threads, first=5)
         for threads in (1, 2)
     }
     assert len(parts[1]) == len(parts[2]) == 7
@@ -503,7 +542,8 @@ def test_evaluate_chunks_values_and_threads():
     assert np.array_equal(joined[1], whole.lo)
 
 
-def test_evaluate_chunks_shared_basis_and_threads():
+def test_evaluate_chunks_shared_basis_and_threads(monkeypatch):
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 300)
     exprs = [parse_expr(s) for s in ("x^(3/2)", "x^(1/2) + log^2", "x^(5/4)")]
     ns = np.arange(5, 2000)
 
@@ -511,8 +551,7 @@ def test_evaluate_chunks_shared_basis_and_threads():
         return np.stack([np.stack([v.hi, v.lo]) for v in vals])
 
     parts = {
-        threads: _evaluate_chunks(exprs, ns, stack, chunk_size=300,
-                                  threads=threads, first=5)
+        threads: _evaluate_chunks(exprs, ns, stack, threads=threads, first=5)
         for threads in (1, 2)
     }
     assert len(parts[1]) == len(parts[2]) == 7
@@ -539,17 +578,18 @@ def test_evaluate_array_sequence_standard():
 
 @pytest.mark.parametrize("literal", ["irr(0.7340512)*x^2", "x^(3/2)",
                                      "x^(1/2) + log^2"])
-def test_unit_reduction_is_pointwise(literal, rng):
+def test_unit_reduction_is_pointwise(literal, rng, monkeypatch):
     # vaughan-check tabulates e(phase(n)) once over 1..X and indexes it; that
     # is byte-identical to evaluating any subset only if no value depends on
     # its neighbours in the chunk.
-    def units(ns, **kw):
+    def units(ns, first=0):
         return np.concatenate(_evaluate_chunks(
-            expr, ns, lambda v, _: e(frac_nearest(v)), **kw))
+            expr, ns, lambda v, _: e(frac_nearest(v)), first=first))
 
     expr = parse_expr(literal)
     table = units(np.arange(2, 50_001), first=2)  # log is undefined at 1
     subset = rng.permutation(49_999)[:7_001] + 2
     assert not np.all(np.diff(subset) == 1)
-    got = units(subset, chunk_size=1000)
+    monkeypatch.setattr(hardy, "DEFAULT_CHUNK", 1000)
+    got = units(subset)
     assert got.tobytes() == table[subset - 2].tobytes()
