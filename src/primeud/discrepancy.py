@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .expsums import _circle_sum, erdos_turan_bound, weyl_moduli
+from .expsums import erdos_turan_bound, weyl_moduli
 from .errors import GateError
 from .hardy import HardyExpr, _check_magnitude, _evaluate_chunks
 from .ddarith import frac_unit
@@ -130,41 +129,3 @@ def equidistribution_report(expr: HardyExpr, q: int, domain: str, N: int,
     sample = fractional_parts(expr, q, domain, N, table, modulus=modulus,
                               residue=residue, threads=threads)
     return report_from_points(sample)
-
-
-# -- joint equidistribution via finite frequency sets ---------------------------------
-
-
-@dataclass(frozen=True)
-class JointWeylResult:
-    max_modulus: float
-    per_vector: tuple[tuple[tuple[int, ...], float], ...]
-
-
-def joint_weyl_test(family: Sequence[HardyExpr], poly_part: Sequence[HardyExpr],
-                    lattice_vectors: Sequence[Sequence[int]], N: int,
-                    domain: str, table: PrimeTable | None = None
-                    ) -> JointWeylResult:
-    """Max normalized harmonic modulus of sum_i a_i P_i + sum_j b_j xi_j over
-    the supplied integer frequency vectors (a..., b...).  Small max is
-    evidence of joint equidistribution restricted to that frequency set;
-    a dependent family shows up as a modulus near 1.
-    """
-    dim = len(poly_part) + len(family)
-    results = []
-    worst = 0.0
-    for vec in lattice_vectors:
-        vec = tuple(int(v) for v in vec)
-        if len(vec) != dim:
-            raise ValueError(f"vector {vec} has wrong length (need {dim})")
-        if all(v == 0 for v in vec):
-            raise ValueError("zero frequency vector rejected")
-        combo = HardyExpr.zero()
-        for coeff, g in zip(vec, list(poly_part) + list(family)):
-            if coeff:
-                combo = combo + g.scale(coeff)
-        sample = fractional_parts(combo, 1, domain, N, table)
-        m = float(abs(_circle_sum(sample.points))) / N
-        results.append((vec, m))
-        worst = max(worst, m)
-    return JointWeylResult(max_modulus=worst, per_vector=tuple(results))

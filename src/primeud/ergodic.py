@@ -91,13 +91,6 @@ def _scan(stat, spec: SequenceSpec, N: int, table: PrimeTable, *, r: int = 1):
     return list(stats), sum(counts), sum(events)
 
 
-def index_vectors(spec: SequenceSpec, N: int, table: PrimeTable):
-    """(N x m) int64 index vectors over the first N primes and the count of
-    floor boundary events: the blocks of the streamed scans, concatenated."""
-    blocks, _, events = _scan(lambda d, start: d, spec, N, table)
-    return np.concatenate(blocks), events
-
-
 def _phase_mod1(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     """d @ w mod 1 in [-1/2, 1/2], where cos and sin are fastest, for an int
     (n x k) block d and a float (k,) or (k x m) w.  Elementwise numpy sums
@@ -521,30 +514,3 @@ def fcplus_probe(sigma: SpectralMeasure, spec: SequenceSpec, N: int,
     return FcPlusResult(mass_at_zero=sigma.mass_at_zero, final_tail_max=tails[last],
                         envelope=tuple((n, tails[n]) for n in checkpoints),
                         N=N, boundary_events=events)
-
-
-# -- residue indicator ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidueIndicatorResult:
-    via_sum: complex
-    direct: int
-    agreement: float  # |via_sum - direct|
-
-    @property
-    def agrees(self) -> bool:
-        return self.agreement < 1e-12
-
-
-def residue_indicator_check(q: int, b: int, n: int) -> ResidueIndicatorResult:
-    """(1/q) sum_{j=1}^q e((n-b) j / q) against the direct congruence
-    indicator of n = b mod q; the two agree exactly up to rounding."""
-    if not (1 <= b <= q):
-        raise ValueError("need 1 <= b <= q")
-    j = np.arange(1, q + 1, dtype=np.int64)
-    residues = ((n - b) * j) % q
-    s = complex(_circle_sum(residues / q)) / q
-    direct = 1 if (n - b) % q == 0 else 0
-    return ResidueIndicatorResult(via_sum=s, direct=direct,
-                                  agreement=abs(s - direct))

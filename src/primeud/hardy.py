@@ -185,9 +185,6 @@ class Coefficient:
                 total = total + _symbol_dd(sym) * DD.from_fraction(fr)
         return total
 
-    def basis(self) -> dict:
-        return dict(self.parts)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
@@ -227,10 +224,6 @@ class Term:
     coeff: Coefficient
     theta: Fraction
     logpow: int
-
-    @property
-    def signature(self) -> tuple[Fraction, int]:
-        return (self.theta, self.logpow)
 
 
 @dataclass(frozen=True)
@@ -574,21 +567,6 @@ def classify_growth(expr: HardyExpr) -> GrowthType:
     return GrowthType(kind="type-l-plus", l=int(math.floor(th)), logpow=lp)
 
 
-def _signature_in_window(theta: Fraction, logpow: int) -> bool:
-    """Would a function with this leading signature lie in the admissible
-    growth window (strictly between x^l and x^(l+1) for some l >= 1, or
-    strictly between log x and x)?"""
-    if theta == 0:
-        return logpow >= 2
-    if theta < 0:
-        return False
-    if theta < 1:
-        return True
-    if theta.denominator == 1:  # integer exponent
-        return logpow >= 1
-    return True  # non-integer theta > 1
-
-
 def boshernitzan_condition(expr: HardyExpr) -> bool:
     """Decide whether (f - P)/log x diverges for every rational polynomial P.
 
@@ -609,111 +587,6 @@ def boshernitzan_condition(expr: HardyExpr) -> bool:
     if lead.theta > 0:
         return True
     return lead.theta == 0 and lead.logpow >= 2
-
-
-def is_in_bold_H(expr: HardyExpr) -> bool:
-    """Admissible growth window: type x^(l+) with l >= 1, or sublinear but
-    outgrowing log x."""
-    if expr.is_zero:
-        raise ValueError("zero expression")
-    lead = expr.leading
-    return _signature_in_window(lead.theta, lead.logpow)
-
-
-# -- family cancellation analysis ----------------------------------------------
-
-
-def _prefix_ranks_real(rows: list[list[float]]) -> list[int]:
-    """rank of the first j rows for each j, over the reals (float pivoting)."""
-    ranks = []
-    basis: list[tuple[np.ndarray, int]] = []
-    for row in rows:
-        v = np.asarray(row, dtype=np.float64).copy()
-        scale = max(1.0, float(np.max(np.abs(v)))) if v.size else 1.0
-        for b, p in basis:
-            v = v - b * (v[p] / b[p])
-        if v.size and float(np.max(np.abs(v))) > 1e-9 * scale:
-            basis.append((v, int(np.argmax(np.abs(v)))))
-        ranks.append(len(basis))
-    return ranks
-
-
-def _prefix_ranks_rational(rows: list[list[Fraction]]) -> list[int]:
-    """Exact prefix ranks over Q via fraction-free elimination."""
-    ranks = []
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = list(row)
-        for b, p in zip(basis, pivots):
-            if v[p] != 0:
-                f = v[p] / b[p]
-                v = [vi - f * bi for vi, bi in zip(v, b)]
-        nz = [i for i, vi in enumerate(v) if vi != 0]
-        if nz:
-            basis.append(v)
-            pivots.append(nz[0])
-        ranks.append(len(basis))
-    return ranks
-
-
-def family_combination_check(
-    family: Sequence[HardyExpr], coefficient_domain: str = "reals"
-) -> bool:
-    """Decide whether every nonzero coefficient combination of the family
-    stays in the admissible growth window.
-
-    Enumerates cancellation patterns by prefix-rank analysis of the
-    signature-coefficient matrix: a combination can survive first at
-    signature j exactly when row j is independent of rows above it, and the
-    zero function is reachable iff the full matrix has a nontrivial
-    nullspace.  Over the integers the analysis runs exactly on the declared
-    symbol basis; over the reals on the numeric matrix (declared symbolic
-    identities are the only source of rational dependence).
-    """
-    if not family:
-        raise ValueError("family must be nonempty")
-    for f in family:
-        if f.is_zero:
-            raise ValueError("family members must be nonzero")
-    if coefficient_domain not in ("integers", "reals"):
-        raise ValueError("coefficient_domain must be 'integers' or 'reals'")
-
-    k = len(family)
-    signatures = sorted(
-        {t.signature for f in family for t in f.terms}, reverse=True
-    )
-    coeff_rows = []
-    for sig in signatures:
-        row = []
-        for f in family:
-            c = ZERO_COEFF
-            for t in f.terms:
-                if t.signature == sig:
-                    c = t.coeff
-                    break
-            row.append(c)
-        coeff_rows.append(row)
-
-    if coefficient_domain == "reals":
-        ranks = _prefix_ranks_real([[c.value for c in row] for row in coeff_rows])
-    else:
-        symbols = sorted({s for row in coeff_rows for c in row for s, _ in c.parts})
-        if not symbols:
-            symbols = [RATIONAL_UNIT]
-        expanded: list[list[Fraction]] = []
-        for row in coeff_rows:
-            for sym in symbols:
-                expanded.append([c.basis().get(sym, Fraction(0)) for c in row])
-        per_row = _prefix_ranks_rational(expanded)
-        ranks = [per_row[(j + 1) * len(symbols) - 1] for j in range(len(coeff_rows))]
-
-    prev = 0
-    for sig, r in zip(signatures, ranks):
-        if r > prev and not _signature_in_window(*sig):
-            return False
-        prev = r
-    return prev >= k  # full column rank: the zero function is unreachable
 
 
 # -- differential inequality verification ---------------------------------------

@@ -1,6 +1,6 @@
 """Segmented prime sieve, arithmetic-function tables, and the exact
-summation identities (bilinear decomposition of weighted prime sums, Abel
-summation) that the exponential-sum machinery rests on.
+summation identity (bilinear decomposition of weighted prime sums) that the
+exponential-sum machinery rests on.
 
 All tables are numpy arrays, immutable by convention after construction.
 The sieve works on odd numbers in cache-sized segments so limits in the
@@ -100,49 +100,6 @@ def sieve(limit: int) -> PrimeTable:
     chunks = [np.array([2], dtype=np.int64)]
     chunks += [_sieve_segment(lo, hi, base) for lo, hi in ranges]
     return PrimeTable(limit=limit, primes=np.concatenate(chunks))
-
-
-def primes_in_ap(table: PrimeTable, q: int, a: int, upto: int) -> int:
-    """pi(x; q, a) = #{p <= x : p = a mod q}; requires gcd(a, q) = 1."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"gcd({a}, {q}) != 1: residue class not reduced")
-    ps = table.primes[: table.pi(upto)]
-    return int(np.count_nonzero(ps % q == a % q))
-
-
-@dataclass(frozen=True)
-class ApBalanceReport:
-    x: int
-    q_max: int
-    max_deviation: float
-    worst: tuple[int, int]
-    rows: tuple[tuple[int, int, int, float], ...]  # (q, a, count, deviation)
-
-
-def ap_balance_report(table: PrimeTable, q_max: int, x: int) -> ApBalanceReport:
-    """Deviation of prime counts in reduced residue classes from perfect
-    balance: max over q <= q_max, gcd(a,q)=1 of |pi(x;q,a) phi(q) / pi(x) - 1|."""
-    if q_max < 2:
-        raise ValueError("q_max must be >= 2")
-    ps = table.primes[: table.pi(x)]
-    pix = len(ps)
-    rows = []
-    worst = (0, 0)
-    max_dev = 0.0
-    for q in range(2, q_max + 1):
-        residues = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-        phi_q = len(residues)
-        mods = ps % q
-        for a in residues:
-            count = int(np.count_nonzero(mods == a % q))
-            dev = abs(count * phi_q / pix - 1.0)
-            rows.append((q, a, count, dev))
-            if dev > max_dev:
-                max_dev, worst = dev, (q, a)
-    return ApBalanceReport(x=x, q_max=q_max, max_deviation=max_dev,
-                           worst=worst, rows=tuple(rows))
 
 
 # -- arithmetic-function tables -------------------------------------------------
@@ -271,32 +228,6 @@ def vaughan_decompose(gv: np.ndarray, u: int, v: int) -> VaughanReport:
     t3 = _fsum_complex(parts)
 
     return VaughanReport(X=X, u=u, v=v, t1=t1, t2=t2, t3=t3, lhs=lhs)
-
-
-@dataclass(frozen=True)
-class PartialSummationReport:
-    lhs: complex
-    rhs: complex
-
-    @property
-    def diff(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def partial_summation_check(a, b) -> PartialSummationReport:
-    """Both sides of the Abel summation identity
-    sum a_n b_n = sum_{n<N} (a_n - a_{n+1}) B(n) + a_N B(N),
-    with B(n) = b_1 + ... + b_n, for two arrays a, b of one length N >= 2."""
-    av = np.asarray(a, dtype=complex)
-    bv = np.asarray(b, dtype=complex)
-    if av.ndim != 1 or av.shape != bv.shape or av.size < 2:
-        raise ValueError("need two 1-D sequences of one length >= 2")
-    lhs = _fsum_complex(av * bv)
-    B = np.cumsum(bv)
-    pieces = (av[:-1] - av[1:]) * B[:-1]
-    rhs = complex(math.fsum(pieces.real) + (av[-1] * B[-1]).real,
-                  math.fsum(pieces.imag) + (av[-1] * B[-1]).imag)
-    return PartialSummationReport(lhs=lhs, rhs=rhs)
 
 
 # -- on-disk prime cache ----------------------------------------------------------

@@ -7,6 +7,7 @@ with zero tolerated violations, and trend/margin thresholds frozen here.
 """
 
 import json
+import math
 import time
 
 import mpmath
@@ -30,7 +31,7 @@ from primeud.ergodic import (
 from primeud.expsums import erdos_turan_bound, vdc_inequality_check
 from primeud.hardy import evaluate_array
 from primeud.literals import parse_expr
-from primeud.primes import ap_balance_report, vaughan_decompose
+from primeud.primes import vaughan_decompose
 
 mpmath.mp.dps = 50
 
@@ -212,10 +213,18 @@ def test_criterion_08_lattice_hits(table2m):
 
 
 def test_criterion_09_residue_class_balance(table2m):
-    rep = ap_balance_report(table2m, 10, 10**6)
-    ok = rep.max_deviation < 0.05
+    # |pi(x; q, a) phi(q) / pi(x) - 1| over q <= 10 and gcd(a, q) = 1
+    ps = table2m.primes[: table2m.pi(10**6)]
+    devs = {}
+    for q in range(2, 11):
+        counts = np.bincount(ps % q, minlength=q)
+        reduced = [a for a in range(1, q) if math.gcd(a, q) == 1]
+        for a in reduced:
+            devs[(q, a)] = abs(counts[a] * len(reduced) / len(ps) - 1.0)
+    worst = max(devs, key=devs.get)
+    ok = devs[worst] < 0.05
     _report(9, "residue-class prime counts balance at x = 1e6",
-            ok, f"max deviation {rep.max_deviation:.5f} at {rep.worst}")
+            ok, f"max deviation {devs[worst]:.5f} at {worst}")
 
 
 # 10 ----------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from primeud.primes import save_prime_cache, sieve
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACT_SCHEMA = json.loads(
     (ROOT / "schemas" / "run_artifact.schema.json").read_text())
+BOUND_SCHEMA = json.loads(
+    (ROOT / "schemas" / "bound_report.schema.json").read_text())
 
 
 def run_cli(*args):
@@ -156,6 +158,28 @@ def test_bound_check_erdos_turan(tmp_path):
     assert code == 0
     blob = load_artifact(out)
     assert blob["results"]["holds"] is True
+
+
+# Bound-vs-actual ratios over a spread of phases and ranges: flat-derivative
+# cancellation, the iterated-shift bound at k = 1, and the harmonic
+# discrepancy bound along the primes.
+BOUND_EXAMPLES = (
+    [["kusmin-landau", "--expr", expr, "--range", a, b]
+     for expr, a, b in [("x^(1/2)", "700", "2300"), ("x^(1/2)", "10000", "40000"),
+                        ("x^(2/3)", "1000", "2000")]]
+    + [["composite", "--expr", "x^(3/2)", "--k", "1", "--X1", X, "--X", X]
+       for X in ("1000", "10000", "100000")]
+    + [["erdos-turan", "--expr", expr, "--N", "50000", "--Q", "50",
+        "--table-limit", "700000"] for expr in ("x^(3/2)", "sqrt(2)*x^2", "log")]
+)
+
+
+@pytest.mark.parametrize("argv", BOUND_EXAMPLES, ids=lambda argv: "-".join(
+    a for a in argv if not a.startswith("--")))
+def test_bound_check_examples(argv, tmp_path):
+    out = tmp_path / "b.json"
+    assert run_cli("bound-check", "--which", *argv, "--out", str(out)) == 0
+    jsonschema.validate(load_artifact(out)["results"], BOUND_SCHEMA)
 
 
 def test_bound_check_differential_failure_exits_3(tmp_path):

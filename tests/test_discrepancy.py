@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from primeud.discrepancy import (
     equidistribution_report,
     fractional_parts,
-    joint_weyl_test,
     star_discrepancy,
 )
 from primeud import hardy
@@ -192,36 +191,3 @@ def test_primes_in_ap_report_gcd_validation(table100k):
         equidistribution_report(parse_expr("x^(1/2)"), 1, "primes_in_ap", 100,
                                 table100k, modulus=4, residue=2)
 
-
-# -- joint frequency tests -----------------------------------------------------------------
-
-
-def test_joint_weyl_detects_dependence(table100k):
-    res = joint_weyl_test(
-        family=[parse_expr("x^(1/2)"), parse_expr("2*x^(1/2)")],
-        poly_part=[],
-        lattice_vectors=[(2, -1)],
-        N=2_000,
-        domain="primes",
-        table=table100k,
-    )
-    assert res.max_modulus == pytest.approx(1.0)
-
-
-def test_joint_weyl_independent_family(table2m):
-    res = joint_weyl_test(
-        family=[parse_expr("x^(1/2)")],
-        poly_part=[parse_expr("sqrt(2)*x")],
-        lattice_vectors=[(1, 0), (0, 1), (1, 1)],
-        N=100_000,
-        domain="primes",
-        table=table2m,
-    )
-    assert res.max_modulus < 0.05
-    assert len(res.per_vector) == 3
-
-
-def test_joint_weyl_rejects_zero_vector(table100k):
-    with pytest.raises(ValueError):
-        joint_weyl_test([parse_expr("x^(1/2)")], [], [(0,)], 100,
-                        "primes", table100k)

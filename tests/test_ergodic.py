@@ -27,12 +27,10 @@ from primeud.ergodic import (
     ergodic_average,
     fcplus_probe,
     filtered_recurrence,
-    index_vectors,
     lattice_recurrence_scan,
-    residue_indicator_check,
     torus_recurrence_average,
 )
-from primeud.ergodic import _overlap_volumes
+from primeud.ergodic import _overlap_volumes, _scan
 from primeud.hardy import DEFAULT_CHUNK, evaluate_array
 from primeud.literals import parse_expr
 
@@ -42,14 +40,20 @@ mpmath.mp.dps = 50
 # -- index sequences -------------------------------------------------------------
 
 
+def _index_vectors(spec, N, table):
+    # the streamed scan's index-vector blocks, concatenated
+    blocks, _, events = _scan(lambda d, start: d, spec, N, table)
+    return np.concatenate(blocks), events
+
+
 def test_identity_sequence(table100k):
-    d, _ = index_vectors(SequenceSpec(exprs=(parse_expr("x"),)), 5, table100k)
+    d, _ = _index_vectors(SequenceSpec(exprs=(parse_expr("x"),)), 5, table100k)
     assert list(d.ravel()) == [2, 3, 5, 7, 11]
 
 
 def test_sqrt_floor_first_prime(table100k):
-    d, _ = index_vectors(SequenceSpec(exprs=(parse_expr("x^(1/2)"),)), 1,
-                         table100k)
+    d, _ = _index_vectors(SequenceSpec(exprs=(parse_expr("x^(1/2)"),)), 1,
+                          table100k)
     assert d[0, 0] == 1  # floor(sqrt 2)
 
 
@@ -57,7 +61,7 @@ def test_floors_match_bigfloat_oracle(table2m):
     # oracle applies the same near-integer tie-break at 50 digits; every one
     # of the first 10^4 values must agree exactly
     n = 10_000
-    d, _ = index_vectors(SequenceSpec(exprs=(parse_expr("x^(3/2)"),)), n, table2m)
+    d, _ = _index_vectors(SequenceSpec(exprs=(parse_expr("x^(3/2)"),)), n, table2m)
     ps = table2m.first(n)
     for i in range(n):
         p = int(ps[i])
@@ -75,10 +79,10 @@ def test_shared_basis_matches_each_expr_alone(monkeypatch, table2m):
     exprs = tuple(parse_expr(s) for s in ("x^(3/2)", "x^(1/2) + log^2", "x^(5/4)"))
     # a tolerance wide enough that every column records boundary events
     monkeypatch.setattr(hardy, "BOUNDARY_TOL", 1e-3)
-    d, events = index_vectors(SequenceSpec(exprs=exprs), 40_000, table2m)
+    d, events = _index_vectors(SequenceSpec(exprs=exprs), 40_000, table2m)
     alone_events = []
     for i, expr in enumerate(exprs):
-        col, ev = index_vectors(SequenceSpec(exprs=(expr,)), 40_000, table2m)
+        col, ev = _index_vectors(SequenceSpec(exprs=(expr,)), 40_000, table2m)
         assert np.array_equal(d[:, i], col[:, 0]), str(expr)
         alone_events.append(ev)
     assert min(alone_events) > 0
@@ -87,7 +91,7 @@ def test_shared_basis_matches_each_expr_alone(monkeypatch, table2m):
 
 def test_polynomial_coordinates_with_shift(table100k):
     spec = SequenceSpec(poly_degree=2, shift=+1)
-    d, _ = index_vectors(spec, 3, table100k)
+    d, _ = _index_vectors(spec, 3, table100k)
     assert list(d[0]) == [3, 9]    # p = 2
     assert list(d[1]) == [4, 16]   # p = 3
     assert list(d[2]) == [6, 36]   # p = 5
@@ -96,7 +100,7 @@ def test_polynomial_coordinates_with_shift(table100k):
 def test_linear_map_composition(table100k):
     spec = SequenceSpec(exprs=(parse_expr("x"),), poly_degree=1, shift=-1,
                         L=((1, 1), (1, -1)))
-    d, _ = index_vectors(spec, 2, table100k)
+    d, _ = _index_vectors(spec, 2, table100k)
     # coordinates are (p-1, [p]); L maps to (sum, difference)
     assert list(d[0]) == [3, -1]
     assert list(d[1]) == [5, -1]
@@ -112,13 +116,13 @@ def test_spec_validation():
 def test_spec_wrong_L_width_raises(table100k):
     spec = SequenceSpec(exprs=(parse_expr("x"),), L=((1, 1),))
     with pytest.raises(ValueError):
-        index_vectors(spec, 3, table100k)
+        _index_vectors(spec, 3, table100k)
 
 
 def test_overflow_guard(table2m):
     spec = SequenceSpec(poly_degree=4, shift=0)
     with pytest.raises(OverflowError):
-        index_vectors(spec, 100_000, table2m)
+        _index_vectors(spec, 100_000, table2m)
 
 
 # -- diagonal unitary averages ------------------------------------------------------
@@ -504,7 +508,7 @@ def _whole_hits(d):
 def test_index_vectors_match_whole_array(name, N, table2m):
     spec = _SPECS.get(name, _PRIME_LED)
     d, events = _whole_index_vectors(spec, N, table2m)
-    got, got_events = index_vectors(spec, N, table2m)
+    got, got_events = _index_vectors(spec, N, table2m)
     assert got.dtype == np.int64 and np.array_equal(got, d)
     assert got_events == events and (events > 0) == (name == "mixed")
 
@@ -616,30 +620,3 @@ def test_scan_memory_flat_in_N(probe, table2m):
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1 << 20, peaks
 
-
-# -- residue indicator -----------------------------------------------------------------------
-
-
-def test_residue_indicator_trivial_modulus():
-    res = residue_indicator_check(1, 1, 42)
-    assert res.direct == 1 and res.agrees
-
-
-def test_residue_indicator_example():
-    res = residue_indicator_check(5, 2, 7)
-    assert res.direct == 1
-    assert res.agrees
-
-
-def test_residue_indicator_random(rng):
-    for _ in range(1_000):
-        q = int(rng.integers(1, 101))
-        b = int(rng.integers(1, q + 1))
-        n = int(rng.integers(1, 10**9))
-        res = residue_indicator_check(q, b, n)
-        assert res.agrees
-
-
-def test_residue_indicator_validates():
-    with pytest.raises(ValueError):
-        residue_indicator_check(5, 6, 7)

@@ -119,11 +119,34 @@ BOUND_GOLDENS = sorted(n for n in GOLDEN if n.startswith("bound_")
                        and n != "bound_differential")
 
 
+def _schema(name):
+    return json.loads((SCHEMAS / f"{name}.schema.json").read_text())
+
+
+def _golden(name):
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+
+
 @pytest.mark.parametrize("name", BOUND_GOLDENS)
 def test_bound_check_results_match_schema(name):
-    schema = json.loads((SCHEMAS / "bound_report.schema.json").read_text())
-    blob = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    jsonschema.validate(blob["results"], schema)
+    jsonschema.validate(_golden(name)["results"], _schema("bound_report"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_matches_artifact_schema(name):
+    jsonschema.validate(_golden(name), _schema("run_artifact"))
+
+
+def test_schemas_refuse_unknown_keys():
+    """The schemas are closed: a key that is no part of the artifact, such
+    as a deleted one, is refused."""
+    blob = _golden("bound_composite")
+    blob["config"]["threads"] = 1
+    blob["results"]["chunk_size"] = 16384
+    with pytest.raises(jsonschema.ValidationError, match="threads"):
+        jsonschema.validate(blob, _schema("run_artifact"))
+    with pytest.raises(jsonschema.ValidationError, match="chunk_size"):
+        jsonschema.validate(blob["results"], _schema("bound_report"))
 
 
 # Artifacts whose float results come from weighted sums of index vectors

@@ -23,8 +23,6 @@ from primeud.hardy import (
     differentiate,
     evaluate,
     evaluate_array,
-    family_combination_check,
-    is_in_bold_H,
     nth_derivative,
     verify_differential_inequalities,
 )
@@ -272,72 +270,6 @@ def _divergence_oracle(expr):
 def test_boshernitzan_agrees_with_semantic_oracle(literal):
     expr = parse_expr(literal)
     assert boshernitzan_condition(expr) == _divergence_oracle(expr)
-
-
-@pytest.mark.parametrize(
-    "literal,expected",
-    [
-        ("x^(5/3)", True),
-        ("log^2", True),
-        ("log", False),
-        ("x", False),
-        ("x^2", False),
-        ("x^2*log", True),
-        ("x^(1/2)", True),
-        ("x*log", True),
-    ],
-)
-def test_is_in_bold_h(literal, expected):
-    assert is_in_bold_H(parse_expr(literal)) is expected
-
-
-def test_is_in_bold_h_rejects_zero():
-    with pytest.raises(ValueError):
-        is_in_bold_H(HardyExpr.zero())
-
-
-def test_family_distinct_growth_rates():
-    fam = [parse_expr("x^(1/2)"), parse_expr("x^(1/3)")]
-    assert family_combination_check(fam, "reals") is True
-    assert family_combination_check(fam, "integers") is True
-
-
-def test_family_shared_log_part():
-    fam = [parse_expr("x^(1/2) + log^2"), parse_expr("2*x^(1/2) + log^2")]
-    assert family_combination_check(fam, "reals") is True
-
-
-def test_family_dependent_rejected():
-    fam = [parse_expr("x^(1/2)"), parse_expr("2*x^(1/2)")]
-    assert family_combination_check(fam, "reals") is False
-    assert family_combination_check(fam, "integers") is False
-
-
-def test_family_irrational_dependence_domain_split():
-    # real multiples can cancel sqrt(2); integer multiples cannot
-    fam = [parse_expr("x^(1/2)"), parse_expr("sqrt(2)*x^(1/2)")]
-    assert family_combination_check(fam, "reals") is False
-    assert family_combination_check(fam, "integers") is True
-
-
-def test_family_cancellation_leaves_bad_leader():
-    # b = (1, -1) cancels x^{3/2} and leaves log, which is outside the window
-    fam = [parse_expr("x^(3/2) + log"), parse_expr("x^(3/2)")]
-    assert family_combination_check(fam, "reals") is False
-
-
-def test_family_distinct_rates_always_pass():
-    # different growth rates make cancellation impossible
-    fam = [parse_expr("x^(1/3)"), parse_expr("x^(1/2)"), parse_expr("x^(3/2)"),
-           parse_expr("x^2*log")]
-    assert family_combination_check(fam, "reals") is True
-
-
-def test_family_empty_rejected():
-    with pytest.raises(ValueError):
-        family_combination_check([], "reals")
-    with pytest.raises(ValueError):
-        family_combination_check([HardyExpr.zero()], "reals")
 
 
 def test_evaluate_overflow_rejected():

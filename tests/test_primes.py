@@ -9,11 +9,8 @@ import pytest
 from primeud.primes import (
     DEFAULT_SEGMENT,
     MAX_SIEVE_LIMIT,
-    ap_balance_report,
     arith_tables,
     load_prime_cache,
-    partial_summation_check,
-    primes_in_ap,
     save_prime_cache,
     sieve,
     vaughan_decompose,
@@ -72,44 +69,6 @@ def test_primes_strictly_increasing_and_coprime(table100k):
     for i in rng.integers(1, len(ps), size=200):
         p = int(ps[i])
         assert all(p % int(q) for q in ps[: np.searchsorted(ps, math.isqrt(p) + 1)])
-
-
-# -- residue classes -------------------------------------------------------------
-
-
-def test_primes_in_ap_examples(table100k):
-    # oracle: filter the sieve output by residue
-    ps = [p for p in _trial_division_primes(20) if p % 4 == 1]
-    assert ps == [5, 13, 17]
-    assert primes_in_ap(table100k, 4, 1, 20) == 3
-    assert primes_in_ap(table100k, 1, 1, 50_000) == table100k.pi(50_000)
-    with pytest.raises(ValueError):
-        primes_in_ap(table100k, 2, 2, 100)
-
-
-def test_primes_in_ap_oracle_random(table100k, rng):
-    for _ in range(20):
-        q = int(rng.integers(2, 30))
-        a = int(rng.integers(1, q))
-        if math.gcd(a, q) != 1:
-            continue
-        x = int(rng.integers(100, 50_000))
-        oracle = sum(1 for p in table100k.primes[table100k.primes <= x] if p % q == a)
-        assert primes_in_ap(table100k, q, a, x) == oracle
-
-
-def test_ap_balance_q2(table100k):
-    rep = ap_balance_report(table100k, 2, 50_000)
-    pix = table100k.pi(50_000)
-    q2 = [r for r in rep.rows if r[0] == 2]
-    assert len(q2) == 1
-    assert q2[0][3] == pytest.approx(1.0 / pix, rel=1e-9)
-
-
-def test_ap_balance_q3_has_both_residues(table100k):
-    rep = ap_balance_report(table100k, 3, 1000)
-    residues = {(q, a) for q, a, _, _ in rep.rows if q == 3}
-    assert residues == {(3, 1), (3, 2)}
 
 
 # -- arithmetic tables -------------------------------------------------------------
@@ -295,39 +254,10 @@ def test_vaughan_validates_inputs():
         vaughan_decompose(np.zeros(4, dtype=complex), 2, 5)
 
 
-# -- partial summation ----------------------------------------------------------------
-
-
 def test_fsum_complex_list_and_array_exactly_rounded():
     # a left-to-right double sum loses the 1.0 in each part
     parts = [1e16 + 1j, 1.0 + 1e16j, -1e16 - 1e16j]
     assert _fsum_complex(parts) == _fsum_complex(np.array(parts)) == 1.0 + 1j
-
-
-def test_partial_summation_constant_a():
-    rep = partial_summation_check(np.ones(10), np.arange(1, 11) ** 2)
-    assert rep.lhs == rep.rhs
-    assert rep.lhs == pytest.approx(sum(n * n for n in range(1, 11)))
-
-
-def test_partial_summation_arithmetic():
-    rep = partial_summation_check(np.arange(1, 6), np.ones(5))
-    assert rep.lhs == pytest.approx(15.0)
-    assert rep.diff < 1e-12
-
-
-def test_partial_summation_random_complex(rng):
-    a = rng.random(1000) + 1j * rng.random(1000)
-    b = rng.random(1000) + 1j * rng.random(1000)
-    rep = partial_summation_check(a, b)
-    assert rep.diff < 1e-10
-
-
-def test_partial_summation_validates():
-    with pytest.raises(ValueError):
-        partial_summation_check([5], [5])
-    with pytest.raises(ValueError):
-        partial_summation_check([1, 2], [1, 2, 3])
 
 
 # -- prime cache ------------------------------------------------------------------------

@@ -11,7 +11,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.mark.parametrize("argv", [
     ["recurrence_demo.py", "--N", "2000", "--table-limit", "100000"],
-    ["bound_gallery.py", "--table-limit", "700000"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
