@@ -1,27 +1,21 @@
-"""Built-in experiment corpus: positive and negative equidistribution
-controls (one representative per hypothesis class of the underlying
-equivalence), and the model corpora for the recurrence experiments.
+"""The control corpus of `corpus-run`: positive and negative
+equidistribution controls, one representative per hypothesis class of the
+underlying equivalence.
 
 The control verdicts are decided by the equidistribution criterion, so the
 corpus doubles as a cross-check between the decision procedure and the
-measured discrepancies.
+measured discrepancies.  Importing this module loads no other part of the
+package; an entry's literal is parsed when its `expr` is read.  The model
+systems of the recurrence commands are example configs under `examples/`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .ergodic import Box, DiagonalUnitarySystem, LatticeSet, SequenceSpec, \
-    SpectralMeasure, TorusSystem
-from .hardy import HardyExpr
-from .literals import parse_expr
-
-GOLDEN_FRAC = 0.6180339887498949   # {golden ratio}
-SQRT2_FRAC = 0.41421356237309515   # {sqrt 2}
-SQRT3_FRAC = 0.7320508075688772    # {sqrt 3}
+if TYPE_CHECKING:
+    from .hardy import HardyExpr
 
 
 @dataclass(frozen=True)
@@ -33,6 +27,8 @@ class CorpusEntry:
 
     @property
     def expr(self) -> HardyExpr:
+        from .literals import parse_expr
+
         return parse_expr(self.literal)
 
 
@@ -54,125 +50,3 @@ CONTROL_CORPUS: tuple[CorpusEntry, ...] = (
     CorpusEntry("rational-poly", "x^2 + 1/3*x", False,
                 "negative control: rational polynomial"),
 )
-
-POSITIVE_CONTROLS = tuple(c for c in CONTROL_CORPUS if c.expected_ud)
-NEGATIVE_CONTROLS = tuple(c for c in CONTROL_CORPUS if not c.expected_ud)
-
-
-# -- recurrence model corpora -----------------------------------------------------
-
-
-def unitary_corpus() -> list[tuple[str, DiagonalUnitarySystem, tuple[HardyExpr, ...]]]:
-    """Diagonal-unitary systems with irrational frequency rows (plus one
-    mixed system whose invariant row must stay put)."""
-    xi_half = parse_expr("x^(1/2)")
-    xi_third = parse_expr("x^(1/3)")
-    return [
-        (
-            "golden-1d",
-            DiagonalUnitarySystem(frequencies=np.array([[GOLDEN_FRAC]]),
-                                  f=np.array([1.0 + 0j])),
-            (xi_half,),
-        ),
-        (
-            "sqrt2-sqrt3-2d",
-            DiagonalUnitarySystem(
-                frequencies=np.array([[SQRT2_FRAC, 0.0], [0.0, SQRT3_FRAC]]),
-                f=np.array([1.0 + 0j, 0.5 - 0.5j]),
-            ),
-            (xi_half, xi_third),
-        ),
-        (
-            "mixed-invariant-row",
-            DiagonalUnitarySystem(
-                frequencies=np.array([[0.0], [GOLDEN_FRAC]]),
-                f=np.array([1.0 + 0j, 1.0 + 0j]),
-            ),
-            (parse_expr("x^(3/2)"),),
-        ),
-    ]
-
-
-def torus_corpus() -> list[tuple[str, TorusSystem, SequenceSpec]]:
-    """Rotation systems with A of measure 1/2, 1/4 and 1/10 in one and two
-    dimensions, driven by floor sequences along primes."""
-    spec_32 = SequenceSpec(exprs=(parse_expr("x^(3/2)"),))
-    spec_2d = SequenceSpec(exprs=(parse_expr("x^(1/2)"), parse_expr("x^(1/3)")))
-    half = Fraction(1, 2)
-    return [
-        ("interval-half-golden",
-         TorusSystem(alphas=np.array([[GOLDEN_FRAC]]),
-                     boxes=(Box((0,), (half,)),)), spec_32),
-        ("interval-quarter-sqrt2",
-         TorusSystem(alphas=np.array([[SQRT2_FRAC]]),
-                     boxes=(Box((0,), (Fraction(1, 4),)),)), spec_32),
-        ("interval-tenth-golden",
-         TorusSystem(alphas=np.array([[GOLDEN_FRAC]]),
-                     boxes=(Box((0,), (Fraction(1, 10),)),)), spec_32),
-        ("square-quarter-2d",
-         TorusSystem(alphas=np.array([[GOLDEN_FRAC, 0.0], [0.0, SQRT2_FRAC]]),
-                     boxes=(Box((0, 0), (half, half)),)), spec_2d),
-        ("rect-tenth-2d",
-         TorusSystem(alphas=np.array([[SQRT3_FRAC, 0.0], [0.0, GOLDEN_FRAC]]),
-                     boxes=(Box((0, 0), (half, Fraction(1, 5))),)), spec_2d),
-    ]
-
-
-def lattice_corpus() -> list[tuple[str, LatticeSet, SequenceSpec]]:
-    """Periodic sets of density 1/2, 1/5, 1/10 in dimensions 1 to 3."""
-    spec_1 = SequenceSpec(exprs=(parse_expr("x^(3/2)"),))
-    spec_2 = SequenceSpec(exprs=(parse_expr("x^(1/2)"), parse_expr("x^(1/3)")))
-    spec_3 = SequenceSpec(exprs=(parse_expr("x^(1/2)"), parse_expr("x^(1/3)"),
-                                 parse_expr("x^(3/2)")))
-
-    def residue_set(period, zero_dims):
-        mask = np.ones(period, dtype=bool)
-        grid = np.indices(period)
-        for dim in zero_dims:
-            mask &= grid[dim] == 0
-        return LatticeSet(period=period, mask=mask)
-
-    return [
-        ("multiples-of-2", residue_set((2,), [0]), spec_1),
-        ("multiples-of-5", residue_set((5,), [0]), spec_1),
-        ("multiples-of-10", residue_set((10,), [0]), spec_1),
-        ("even-first-coord-2d", residue_set((2, 1), [0]), spec_2),
-        ("5z-x-2z-2d", residue_set((5, 2), [0, 1]), spec_2),
-        ("block-half-2d",
-         LatticeSet(period=(2, 2),
-                    mask=np.array([[True, True], [False, False]])), spec_2),
-        ("even-first-coord-3d", residue_set((2, 1, 1), [0]), spec_3),
-        ("5z-first-coord-3d", residue_set((5, 1, 1), [0]), spec_3),
-        ("10z-split-3d", residue_set((5, 2, 1), [0, 1]), spec_3),
-    ]
-
-
-def spectral_corpus() -> list[tuple[str, SpectralMeasure]]:
-    """Measures with closed-form transforms for the spectral probe."""
-    third = Fraction(1, 3)
-    half = Fraction(1, 2)
-    return [
-        ("point-mass-at-zero",
-         SpectralMeasure(k=1, atoms=(((Fraction(0),), 1.0),))),
-        ("lebesgue",
-         SpectralMeasure(k=1, ac_table=(((0,), 1.0 + 0j),))),
-        ("half-zero-half-third",
-         SpectralMeasure(k=1, atoms=(((Fraction(0),), 0.5), ((third,), 0.5)))),
-        ("quarter-atom-plus-cosine",
-         SpectralMeasure(k=1, atoms=(((Fraction(0),), 0.25),),
-                         ac_table=(((0,), 1.0 + 0j), ((1,), 0.5 + 0j),
-                                   ((-1,), 0.5 + 0j)))),
-        ("checkerboard-2d",
-         SpectralMeasure(k=2, atoms=(((Fraction(0), Fraction(0)), 0.5),
-                                     ((half, half), 0.5)))),
-    ]
-
-
-def spectral_generators(k: int) -> list[tuple[str, SequenceSpec]]:
-    """The shifted-prime index sets D_{+1} and D_{-1}: the shift applies to
-    the polynomial coordinate, floor coordinates fill the remaining k-1."""
-    exprs = (parse_expr("x^(1/2)"), parse_expr("x^(1/3)"))[: k - 1]
-    return [
-        ("p-plus-1", SequenceSpec(poly_degree=1, shift=+1, exprs=exprs)),
-        ("p-minus-1", SequenceSpec(poly_degree=1, shift=-1, exprs=exprs)),
-    ]

@@ -14,13 +14,7 @@ import mpmath
 import numpy as np
 
 from primeud.cli import main as cli_main
-from primeud.corpus import (
-    NEGATIVE_CONTROLS,
-    POSITIVE_CONTROLS,
-    lattice_corpus,
-    torus_corpus,
-    unitary_corpus,
-)
+from primeud.corpus import CONTROL_CORPUS
 from primeud.discrepancy import fractional_parts, star_discrepancy
 from primeud.ergodic import (
     DiagonalUnitarySystem,
@@ -34,6 +28,21 @@ from primeud.literals import parse_expr
 from primeud.primes import vaughan_decompose
 
 mpmath.mp.dps = 50
+
+# The examples/ systems criteria 06-08 gate on, in the order they are printed.
+UNITARY = ("golden-1d", "sqrt2-sqrt3-2d", "mixed-invariant-row")
+TORUS = ("interval-half-golden", "interval-quarter-sqrt2", "interval-tenth-golden",
+         "square-quarter-2d", "rect-tenth-2d")
+LATTICE = ("multiples-of-2", "multiples-of-5", "multiples-of-10",
+           "even-first-coord-2d", "5z-x-2z-2d", "block-half-2d",
+           "even-first-coord-3d", "5z-first-coord-3d", "10z-split-3d")
+
+
+def _systems(examples, kind, names):
+    """The named examples of a kind, in the given order; every file is named."""
+    built = examples(kind)
+    assert sorted(built) == sorted(names), sorted(built)
+    return [(name, *built[name]) for name in names]
 
 
 def _report(num, name, ok, detail=""):
@@ -135,7 +144,7 @@ def test_criterion_03_inequalities_hold():
 def test_criterion_04_positive_controls(table2m):
     t0 = time.time()
     failures = []
-    for entry in POSITIVE_CONTROLS:
+    for entry in (c for c in CONTROL_CORPUS if c.expected_ud):
         expr = entry.expr
         s1k = star_discrepancy(
             fractional_parts(expr, 1, "primes", 1_000, table2m).points
@@ -153,7 +162,7 @@ def test_criterion_04_positive_controls(table2m):
 
 def test_criterion_05_negative_controls(table2m):
     floors = {}
-    for entry in NEGATIVE_CONTROLS:
+    for entry in (c for c in CONTROL_CORPUS if not c.expected_ud):
         pts = fractional_parts(entry.expr, 1, "primes", 100_000, table2m)
         floors[entry.name] = star_discrepancy(pts.points)
     ok = all(v > 0.05 for v in floors.values())
@@ -164,10 +173,10 @@ def test_criterion_05_negative_controls(table2m):
 # 6 -----------------------------------------------------------------------------
 
 
-def test_criterion_06_unitary_averages(table2m):
+def test_criterion_06_unitary_averages(table2m, examples):
     devs = {}
-    for name, sysm, exprs in unitary_corpus():
-        devs[name] = ergodic_average(sysm, exprs, 100_000, table2m).deviation
+    for name, sysm, spec in _systems(examples, "unitary", UNITARY):
+        devs[name] = ergodic_average(sysm, spec.exprs, 100_000, table2m).deviation
     invariant = DiagonalUnitarySystem(
         frequencies=np.zeros((3, 2)),
         f=np.array([1 + 0j, -0.5 + 0.25j, 0.125j]),
@@ -185,9 +194,9 @@ def test_criterion_06_unitary_averages(table2m):
 # 7 -----------------------------------------------------------------------------
 
 
-def test_criterion_07_torus_margins(table2m):
+def test_criterion_07_torus_margins(table2m, examples):
     margins = {}
-    for name, sysm, spec in torus_corpus():
+    for name, sysm, spec in _systems(examples, "torus", TORUS):
         margins[name] = torus_recurrence_average(sysm, spec, 100_000,
                                                  table2m).margin
     ok = all(m >= -0.005 for m in margins.values())
@@ -198,9 +207,9 @@ def test_criterion_07_torus_margins(table2m):
 # 8 -----------------------------------------------------------------------------
 
 
-def test_criterion_08_lattice_hits(table2m):
+def test_criterion_08_lattice_hits(table2m, examples):
     margins = {}
-    for name, E, spec in lattice_corpus():
+    for name, E, spec in _systems(examples, "lattice", LATTICE):
         res = lattice_recurrence_scan(E, spec, 10_000, table2m)
         margins[name] = res.hit_density - res.dstar_sq
     ok = all(m >= -0.02 for m in margins.values())

@@ -2,8 +2,7 @@
 the harmonic bound must tell one consistent story across every control."""
 
 
-from primeud.corpus import CONTROL_CORPUS, NEGATIVE_CONTROLS, POSITIVE_CONTROLS, \
-    torus_corpus
+from primeud.corpus import CONTROL_CORPUS
 from primeud.discrepancy import fractional_parts, star_discrepancy
 from primeud.ergodic import filtered_recurrence
 from primeud.expsums import erdos_turan_bound
@@ -16,7 +15,7 @@ def test_decision_procedure_matches_expected_verdicts():
 
 
 def test_positive_controls_monotone_star_trend(table2m):
-    for entry in POSITIVE_CONTROLS:
+    for entry in (c for c in CONTROL_CORPUS if c.expected_ud):
         stars = []
         for N in (1_000, 10_000, 100_000):
             pts = fractional_parts(entry.expr, 1, "primes", N, table2m)
@@ -27,7 +26,7 @@ def test_positive_controls_monotone_star_trend(table2m):
 
 
 def test_negative_controls_keep_mass(table2m):
-    for entry in NEGATIVE_CONTROLS:
+    for entry in (c for c in CONTROL_CORPUS if not c.expected_ud):
         pts = fractional_parts(entry.expr, 1, "primes", 100_000, table2m)
         assert star_discrepancy(pts.points) > 0.05, entry.name
 
@@ -40,10 +39,10 @@ def test_harmonic_bound_dominates_on_all_controls(table2m):
         assert rep.holds, entry.name
 
 
-def test_divisibility_filters_keep_recurrence(table2m):
+def test_divisibility_filters_keep_recurrence(table2m, examples):
     # filtering to r-divisible index vectors never drops the average below
     # mu(A)^2 - 0.02 at N = 1e4, for r in {2, 3, 6}
-    for name, sysm, spec in torus_corpus():
+    for name, (sysm, spec) in examples("torus").items():
         for r in (2, 3, 6):
             res = filtered_recurrence(sysm, r, spec, 10_000, table2m)
             assert res.valid, (name, r)

@@ -8,14 +8,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from primeud.corpus import (
-    GOLDEN_FRAC,
-    lattice_corpus,
-    spectral_corpus,
-    spectral_generators,
-    torus_corpus,
-    unitary_corpus,
-)
 from primeud.ddarith import floor_with_boundary
 from primeud.ergodic import (
     Box,
@@ -35,6 +27,8 @@ from primeud.hardy import DEFAULT_CHUNK, evaluate_array
 from primeud.literals import parse_expr
 
 mpmath.mp.dps = 50
+
+GOLDEN_FRAC = 0.6180339887498949  # {golden ratio}
 
 
 # -- index sequences -------------------------------------------------------------
@@ -155,9 +149,9 @@ def test_mixed_system_projection_fixed(table2m):
     assert abs(res.average[1]) < 0.05
 
 
-def test_unitary_corpus_deviation_trend(table2m):
-    for name, sysm, exprs in unitary_corpus():
-        devs = [ergodic_average(sysm, exprs, N, table2m).deviation
+def test_unitary_corpus_deviation_trend(table2m, examples):
+    for name, (sysm, spec) in examples("unitary").items():
+        devs = [ergodic_average(sysm, spec.exprs, N, table2m).deviation
                 for N in (1_000, 10_000, 100_000)]
         # non-increasing up to 10% slack, and small at the end
         assert devs[1] <= devs[0] * 1.1, name
@@ -208,8 +202,8 @@ def test_interval_recurrence_finite_slack(table100k):
     assert res.margin >= -0.01
 
 
-def test_torus_corpus_margins_at_1e4(table2m):
-    for name, sysm, spec in torus_corpus():
+def test_torus_corpus_margins_at_1e4(table2m, examples):
+    for name, (sysm, spec) in examples("torus").items():
         res = torus_recurrence_average(sysm, spec, 10_000, table2m)
         assert res.margin >= -0.02, name
 
@@ -331,8 +325,8 @@ def test_difference_mask_block():
     assert list(diff) == [True, True, False, True]
 
 
-def test_lattice_corpus_margins(table2m):
-    for name, E, spec in lattice_corpus():
+def test_lattice_corpus_margins(table2m, examples):
+    for name, (E, spec) in examples("lattice").items():
         res = lattice_recurrence_scan(E, spec, 10_000, table2m)
         assert res.hit_density >= res.dstar_sq - 0.02, name
 
@@ -424,11 +418,10 @@ def test_mixed_atom_probe(table100k):
     assert res.mass_at_zero <= res.final_tail_max + 0.01
 
 
-def test_spectral_corpus_tail_dominates_mass(table2m):
-    for mname, sigma in spectral_corpus():
-        for gname, spec in spectral_generators(sigma.k):
-            res = fcplus_probe(sigma, spec, 10_000, table2m)
-            assert res.mass_at_zero <= res.final_tail_max + 0.01, (mname, gname)
+def test_spectral_corpus_tail_dominates_mass(table2m, examples):
+    for name, (sigma, spec) in examples("measure").items():
+        res = fcplus_probe(sigma, spec, 10_000, table2m)
+        assert res.mass_at_zero <= res.final_tail_max + 0.01, name
 
 
 def test_measure_validation():

@@ -22,9 +22,12 @@ def _modules_after(code: str) -> list[str]:
 
 
 def test_import_loads_only_what_is_used():
-    assert _modules_after("import primeud\n"
-                          "from primeud.primes import sieve, save_prime_cache") == [
-        "primeud", "primeud.primes"]
+    for code, loaded in [
+        ("import primeud\nfrom primeud.primes import sieve, save_prime_cache",
+         ["primeud", "primeud.primes"]),
+        ("from primeud.corpus import CONTROL_CORPUS", ["primeud", "primeud.corpus"]),
+    ]:
+        assert _modules_after(code) == loaded, code
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["sieve", "--limit", "1000", "--out"]])

@@ -1,5 +1,5 @@
-"""Every public library function is reached from the library or its scripts,
-not only from the tests."""
+"""Every public library function, class and module constant is reached from
+the library, not only from the tests."""
 
 import ast
 from collections import Counter
@@ -7,7 +7,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "primeud").glob("*.py"))
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _uses(node):
@@ -24,11 +23,22 @@ def _uses(node):
     return uses
 
 
+def _public_names(tree):
+    """(name, own node) for each public module-level function, class and
+    constant; uses inside the own node (a body, or the constant's own
+    assignment target) do not count."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, t) for t in targets if isinstance(t, ast.Name))
+
+
 def test_no_public_function_is_reached_only_by_tests():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in LIBRARY + SCRIPTS}
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in LIBRARY}
     total = sum((_uses(tree) for tree in trees.values()), Counter())
-    unused = [f"{path.stem}.{fn.name}"
-              for path in LIBRARY for fn in trees[path].body
-              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-              and total[fn.name] == _uses(fn)[fn.name]]
+    unused = [f"{path.stem}.{name}"
+              for path in LIBRARY for name, node in _public_names(trees[path])
+              if not name.startswith("_") and total[name] == _uses(node)[name]]
     assert not unused, f"used only by tests, or not at all: {', '.join(unused)}"
