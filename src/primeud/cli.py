@@ -431,7 +431,10 @@ def _build_measure(cfg: dict) -> SpectralMeasure:
     table = []
     for key, value in cfg.items():
         if key.startswith("ac."):
-            d = tuple(int(t) for t in key[3:].split(","))
+            try:
+                d = tuple(int(t) for t in key[3:].split(","))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: index is not integers d1,...,dk") from exc
             table.append((d, parse_complex(value)))
     return SpectralMeasure(k=k, atoms=tuple(atoms), ac_table=tuple(table))
 
@@ -510,7 +513,7 @@ def _cmd_fcplus_probe(config: RunConfig) -> int:
 
 def _cmd_corpus_run(config: RunConfig) -> int:
     from .corpus import CONTROL_CORPUS
-    from .discrepancy import equidistribution_report
+    from .discrepancy import fractional_parts, star_discrepancy
     from .hardy import boshernitzan_condition
 
     p = config.parameters
@@ -523,11 +526,9 @@ def _cmd_corpus_run(config: RunConfig) -> int:
     all_pass = True
     for entry in CONTROL_CORPUS:
         expr = entry.expr
-        stars = {}
-        for n in checkpoints:
-            rep = equidistribution_report(expr, 1, "primes", n, table,
-                                          threads=config.threads)
-            stars[n] = rep.star
+        stars = {n: star_discrepancy(fractional_parts(
+            expr, 1, "primes", n, table, threads=config.threads).points)
+            for n in checkpoints}
         criterion = boshernitzan_condition(expr)
         if entry.expected_ud:
             passed = stars[N] < stars[1000] / 2.0

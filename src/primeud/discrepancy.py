@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import erdos_turan_bound, weyl_moduli
+from .expsums import _erdos_turan, weyl_moduli
 from .errors import GateError
 from .hardy import HardyExpr, _check_magnitude, _evaluate_chunks
 from .ddarith import frac_unit
@@ -108,11 +108,17 @@ class DiscrepancyReport:
     boundary_events: int = 0
 
 
-def report_from_points(sample: PointSample) -> DiscrepancyReport:
+def equidistribution_report(expr: HardyExpr, q: int, domain: str, N: int,
+                            table: PrimeTable | None = None, *,
+                            modulus: int = 1, residue: int = 0,
+                            threads: int = 1) -> DiscrepancyReport:
+    """D*, the ET_Q-harmonic Erdos-Turan bound and the first WEYL_Q_MAX moduli."""
+    sample = fractional_parts(expr, q, domain, N, table, modulus=modulus,
+                              residue=residue, threads=threads)
     pts = sample.points
     star = star_discrepancy(pts)
     harmonics = weyl_moduli(pts, ET_Q)
-    et = erdos_turan_bound(pts, ET_Q, star=star, harmonics=harmonics)
+    et = _erdos_turan(star, harmonics, len(pts))
     if not et.holds:
         raise GateError("harmonic bound must dominate the exact star discrepancy")
     return DiscrepancyReport(
@@ -120,12 +126,3 @@ def report_from_points(sample: PointSample) -> DiscrepancyReport:
         weyl_moduli=tuple(harmonics[:WEYL_Q_MAX]), source=sample.source,
         boundary_events=sample.boundary_events,
     )
-
-
-def equidistribution_report(expr: HardyExpr, q: int, domain: str, N: int,
-                            table: PrimeTable | None = None, *,
-                            modulus: int = 1, residue: int = 0,
-                            threads: int = 1) -> DiscrepancyReport:
-    sample = fractional_parts(expr, q, domain, N, table, modulus=modulus,
-                              residue=residue, threads=threads)
-    return report_from_points(sample)

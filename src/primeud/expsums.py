@@ -273,31 +273,10 @@ def weyl_moduli(points: np.ndarray, Q: int) -> list[tuple[int, float]]:
     return out
 
 
-def erdos_turan_bound(points, Q: int, *, star: float | None = None,
-                      harmonics: list[tuple[int, float]] | None = None
-                      ) -> BoundReport:
-    """Exact star discrepancy against the harmonic-sum bound
-
-        D* <= C (1/Q + (1/N) sum_{q<=Q} (1/q) |sum_n e(q x_n)|),  C = 4.
-
-    C = 4 dominates the classical explicit constant, so holds must be true
-    for every point set.  ``star`` and ``harmonics`` (the first Q entries of
-    ``weyl_moduli(points, ...)``) may be passed in when already computed.
-    """
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
-    pts = np.asarray(points, dtype=np.float64)
-    N = len(pts)
-    if N < 1:
-        raise ValueError("need at least one point")
-    if star is None:
-        from .discrepancy import star_discrepancy
-
-        star = star_discrepancy(pts)
-    if harmonics is None:
-        harmonics = weyl_moduli(pts, Q)
-    elif len(harmonics) != Q:
-        raise ValueError(f"need {Q} harmonics, got {len(harmonics)}")
+def _erdos_turan(star: float, harmonics: list[tuple[int, float]],
+                 N: int) -> BoundReport:
+    """Erdos-Turan report of ``star`` against Q = len(harmonics) moduli."""
+    Q = len(harmonics)
     total = math.fsum(m / q for q, m in harmonics)
     bound = ERDOS_TURAN_CONSTANT * (1.0 / Q + total)
     return _make_bound_report(
@@ -305,3 +284,21 @@ def erdos_turan_bound(points, Q: int, *, star: float | None = None,
         params={"Q": Q, "N": N, "constant": ERDOS_TURAN_CONSTANT},
         precision_mode="standard",
     )
+
+
+def erdos_turan_bound(points, Q: int) -> BoundReport:
+    """Exact star discrepancy against the harmonic-sum bound
+
+        D* <= C (1/Q + (1/N) sum_{q<=Q} (1/q) |sum_n e(q x_n)|),  C = 4.
+
+    C = 4 dominates the classical explicit constant, so holds must be true
+    for every point set.
+    """
+    from .discrepancy import star_discrepancy
+
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) < 1:
+        raise ValueError("need at least one point")
+    return _erdos_turan(star_discrepancy(pts), weyl_moduli(pts, Q), len(pts))

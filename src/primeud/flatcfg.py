@@ -4,7 +4,8 @@ Grammar (one entry per line; '#' starts a comment; blank lines ignored):
 
     key = value
 
-Keys are dotted/indexed lowercase words.  Values are whitespace-separated
+Keys are dotted/indexed lowercase words; an index may be a comma-separated
+integer tuple (ac.0,1).  Values are whitespace-separated
 scalars: integers, decimals, rationals 'p/q', complex 're,im', or free text
 (expression literals).  Repeated indexed keys (freq.1, freq.2, ...) build
 row lists.  Which keys are meaningful depends on the experiment kind:
@@ -35,7 +36,8 @@ row lists.  Which keys are meaningful depends on the experiment kind:
     # measure (spectral probe)
     k = 1
     atom.1 = 0.5 @ 1/3          mass @ location coords
-    ac.0 = 1,0                  density Fourier coefficient at d = (0,...)
+    ac.0 = 1,0                  density Fourier coefficient at d = (0,)
+    ac.0,1 = 0.5,0              on the k-torus, k >= 2: d = (0, 1)
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class ConfigError(ValueError):
     """Malformed flat config."""
 
 
-_KEY = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_.\-]*$")
+_KEY = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_.,\-]*$")
 
 
 def parse_flat_config(text: str) -> dict[str, str]:

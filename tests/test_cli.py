@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 from primeud import hardy
-from primeud.cli import CACHE_ENV, _jsonable, main
+from primeud.cli import CACHE_ENV, _build_measure, _jsonable, main
 from primeud.corpus import CONTROL_CORPUS
 from primeud.ergodic import FcPlusResult
+from primeud.flatcfg import parse_flat_config
 from primeud.literals import format_expr, parse_expr
 from primeud.primes import save_prime_cache, sieve
 
@@ -255,6 +257,36 @@ def test_fcplus_probe_config(tmp_path):
     assert run_cli("fcplus-probe", "--config", str(cfg), "--out", str(out)) == 0
     blob = load_artifact(out)
     assert blob["results"]["mass_at_zero"] <= blob["results"]["final_tail_max"] + 0.01
+
+
+# Atoms at 0 and (1/2, 1/2) plus the density 1 + cos(2 pi (t1 - t2)) on the
+# 2-torus: its coefficients are indexed by integer pairs, `ac.d1,d2`.
+MEASURE_2D = (
+    "kind = measure\nN = 2000\nk = 2\n"
+    "atom.1 = 0.25 @ 0 0\natom.2 = 0.25 @ 1/2 1/2\n"
+    "ac.0,0 = 1,0\nac.1,-1 = 0.5,0\nac.-1,1 = 0.5,0\n"
+    "poly_degree = 1\nshift = 1\nexprs = x^(1/2)\ntable_limit = 100000\n"
+)
+
+
+def test_density_table_on_the_2_torus(tmp_path):
+    sigma = _build_measure(parse_flat_config(MEASURE_2D))
+    assert sigma.k == 2
+    assert sigma.atoms[1] == ((Fraction(1, 2), Fraction(1, 2)), 0.25)
+    assert dict(sigma.ac_table) == {(0, 0): 1, (1, -1): 0.5, (-1, 1): 0.5}
+    cfg = tmp_path / "m2.cfg"
+    cfg.write_text(MEASURE_2D)
+    out = tmp_path / "f.json"
+    assert run_cli("fcplus-probe", "--config", str(cfg), "--out", str(out)) == 0
+    assert load_artifact(out)["results"]["mass_at_zero"] == 0.25
+
+
+def test_non_integer_density_index_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MEASURE_2D.replace("ac.1,-1", "ac.1,x"))
+    assert run_cli("fcplus-probe", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "ac.1,x" in err and "Traceback" not in err
 
 
 def test_bad_config_exits_2(tmp_path):

@@ -141,27 +141,23 @@ def test_report_et_bound_dominates_star(table100k, rng):
 
 def test_report_computes_harmonics_once(monkeypatch, table100k):
     import primeud.discrepancy as disc
+    from primeud.expsums import erdos_turan_bound
 
-    calls, used = [], []
-    real_moduli, real_et = disc.weyl_moduli, disc.erdos_turan_bound
+    calls = []
+    real_moduli = disc.weyl_moduli
 
     def spy_moduli(points, Q):
         calls.append(Q)
         return real_moduli(points, Q)
 
-    def spy_et(points, Q, **kw):
-        used.append(kw["harmonics"])
-        return real_et(points, Q, **kw)
-
     monkeypatch.setattr(disc, "weyl_moduli", spy_moduli)
-    monkeypatch.setattr(disc, "erdos_turan_bound", spy_et)
-    sample = fractional_parts(parse_expr("x^(3/2)"), 1, "primes", 3_000, table100k)
-    rep = disc.report_from_points(sample)
+    rep = equidistribution_report(parse_expr("x^(3/2)"), 1, "primes", 3_000,
+                                  table100k)
     assert calls == [disc.ET_Q]
-    assert len(used[0]) == disc.ET_Q
-    assert rep.weyl_moduli == tuple(real_moduli(sample.points, disc.WEYL_Q_MAX))
-    assert rep.weyl_moduli == tuple(used[0][:disc.WEYL_Q_MAX])
-    assert rep.et_bound == real_et(sample.points, disc.ET_Q).bound
+    points = fractional_parts(parse_expr("x^(3/2)"), 1, "primes", 3_000,
+                              table100k).points
+    assert rep.weyl_moduli == tuple(real_moduli(points, disc.WEYL_Q_MAX))
+    assert rep.et_bound == erdos_turan_bound(points, disc.ET_Q).bound
 
 
 def test_primes_in_ap_report_examples(table2m):

@@ -86,6 +86,21 @@ def test_artifact_matches_golden(name, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
+def test_corpus_run_computes_no_harmonics(tmp_path, monkeypatch):
+    """corpus-run prints only D*, so it computes no harmonic sums."""
+    def no_harmonics(points, Q):
+        raise AssertionError("corpus-run computed harmonic sums")
+
+    monkeypatch.setattr("primeud.discrepancy.weyl_moduli", no_harmonics)
+    monkeypatch.setattr("primeud.expsums.weyl_moduli", no_harmonics)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(GOLDEN_DIR)
+    out = tmp_path / "corpus_run.json"
+    code = main(GOLDEN["corpus_run"] + ["--out", str(out)])
+    assert code == EXPECTED_EXIT["corpus_run"]
+    assert out.read_bytes() == (GOLDEN_DIR / "corpus_run.json").read_bytes()
+
+
 # The commands that take --threads, and the goldens they write.
 THREADED = ("ud-test", "weyl-sum", "vaughan-check", "bound-check", "corpus-run")
 THREADED_GOLDENS = sorted(n for n in GOLDEN if GOLDEN[n][0] in THREADED)
