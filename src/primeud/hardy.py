@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -174,9 +175,12 @@ class Coefficient:
 
     @property
     def value(self) -> float:
-        return float(self.dd())
+        return float(self.dd)
 
+    @cached_property
     def dd(self) -> DD:
+        """The coefficient in double-double, built on the first read: the
+        pre-pass and every chunk read it."""
         total = DD(0.0)
         for sym, fr in self.parts:
             if sym == RATIONAL_UNIT:
@@ -372,7 +376,7 @@ def evaluate_array(expr: HardyExpr | Sequence[HardyExpr], xs,
                 if t.logpow:
                     piece = piece * dd_ipow(logs, t.logpow)
                 if t.coeff != ONE_COEFF:  # piece * 1 and 0 + piece are piece
-                    piece = piece * t.coeff.dd()
+                    piece = piece * t.coeff.dd
                 total = piece if total is None else total + piece
             out.append(DD(np.zeros_like(xs)) if total is None else total)
         finite = all(np.all(np.isfinite(v.hi)) for v in out)

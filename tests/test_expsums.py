@@ -12,6 +12,7 @@ from primeud import hardy
 from primeud.cli import _jsonable
 from primeud.expsums import (
     ExpSumResult,
+    _cell_moments,
     composite_bound_eval,
     e,
     erdos_turan_bound,
@@ -228,7 +229,7 @@ def moduli_oracle(points, Q):
         ])
 
 
-@pytest.mark.parametrize("Q", [50, 200])
+@pytest.mark.parametrize("Q", [50, 200, 1000])
 @pytest.mark.parametrize("kind", ["random", "grid", "edges", "constant"])
 def test_weyl_moduli_against_mpmath(Q, kind):
     N = 64
@@ -242,6 +243,42 @@ def test_weyl_moduli_against_mpmath(Q, kind):
     assert [q for q, _ in got] == list(range(1, Q + 1))
     err = np.abs(np.array([m for _, m in got]) - moduli_oracle(points, Q))
     assert np.all(err <= np.arange(1, Q + 1) * 1e-15)
+
+
+def test_weyl_moduli_one_cell():
+    """Every point in one cell of the 4096 (M = 4096 up to Q = 256), both
+    cell edges included: every modulus within 1e-15 of the oracle, with no
+    growth in q."""
+    points = (1234 + np.random.default_rng(7).random(64)) / 4096
+    points[:2] = 1234 / 4096, np.nextafter(1235 / 4096, 0)
+    got = np.array([m for _, m in weyl_moduli(points, 256)])
+    assert np.all(np.abs(got - moduli_oracle(points, 256)) <= 1e-15)
+
+
+def test_cell_moments_are_taken_about_the_cell_centre():
+    """Offsets run from the cell centre, so |delta| <= 1/(2M), the bound
+    the series cut of weyl_moduli assumes: a left edge is -1/(2M) off, a
+    centre 0."""
+    M = 4096
+    cells = np.arange(M)
+    points = np.concatenate([cells / M, (cells + 0.5) / M])
+    counts, first, second = _cell_moments(points, M, 3)
+    assert np.all(counts == 2)
+    assert np.all(first == -0.5 / M)
+    assert np.all(second == 0.25 / M**2)
+
+
+def test_weyl_moduli_prefix_does_not_depend_on_Q():
+    """The q-th modulus is the same bits for every Q <= 256."""
+    x = np.random.default_rng(5).random(1000)
+    assert weyl_moduli(x, 50)[:10] == weyl_moduli(x, 10)
+    assert weyl_moduli(x, 256)[:50] == weyl_moduli(x, 50)
+
+
+@pytest.mark.parametrize("bad", [[-0.25], [0.5, 1.0], [np.nan], []])
+def test_weyl_moduli_refuses_points_outside_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        weyl_moduli(np.array(bad, dtype=float), 10)
 
 
 def test_erdos_turan_all_zeros():

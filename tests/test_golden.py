@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from primeud.cli import CACHE_ENV, main
@@ -187,11 +188,7 @@ def _assert_close(got, want, tol, path="results"):
         assert got == want, path
 
 
-@pytest.mark.parametrize("name", WEIGHTED_SUM_GOLDENS)
-def test_weighted_sum_goldens_within_bound(name, tmp_path, monkeypatch):
-    """Every value within 1e-9 absolute of the golden: the bound a change
-    to the order of the weighted sums must meet before these goldens are
-    rewritten."""
+def _assert_within(name, tol, tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.chdir(GOLDEN_DIR)
     out = tmp_path / f"{name}.json"
@@ -199,7 +196,29 @@ def test_weighted_sum_goldens_within_bound(name, tmp_path, monkeypatch):
     got = json.loads(out.read_text())
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert got["config"] == want["config"]
-    _assert_close(got["results"], want["results"], 1e-9)
+    _assert_close(got["results"], want["results"], tol)
+
+
+@pytest.mark.parametrize("name", WEIGHTED_SUM_GOLDENS)
+def test_weighted_sum_goldens_within_bound(name, tmp_path, monkeypatch):
+    """Every value within 1e-9 absolute of the golden: the bound a change
+    to the order of the weighted sums must meet before these goldens are
+    rewritten."""
+    _assert_within(name, 1e-9, tmp_path, monkeypatch)
+
+
+# Artifacts whose float results come from the harmonic sums
+# (expsums.weyl_moduli) and the Erdos-Turan bound built on them.
+HARMONIC_GOLDENS = ("bound_erdos_turan", "ud_integers",
+                    "ud_primes_checkpoints", "ud_primes_in_ap")
+
+
+@pytest.mark.parametrize("name", HARMONIC_GOLDENS)
+def test_harmonic_goldens_within_bound(name, tmp_path, monkeypatch):
+    """Every value within 1e-15 absolute of the golden: the bound a change
+    to the harmonic-sum kernel must meet before these goldens are
+    rewritten."""
+    _assert_within(name, 1e-15, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("name", WEIGHTED_SUM_GOLDENS)
@@ -216,3 +235,53 @@ def test_goldens_independent_of_blas_kernel(name, tmp_path):
         cwd=GOLDEN_DIR, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def _replay(names, env, tmp_path):
+    """Run GOLDEN[name] for each name in one fresh interpreter, with env
+    added to the environment and PRIMEUD_CACHE_DIR unset; returns
+    {name: (exit code, artifact bytes)}."""
+    runs = {n: GOLDEN[n] + ["--out", str(tmp_path / f"{n}.json")] for n in names}
+    codes = tmp_path / "exit_codes.json"
+    script = ("import json, sys\n"
+              "from pathlib import Path\n"
+              "from primeud.cli import main\n"
+              "runs = json.loads(sys.argv[1])\n"
+              "codes = {n: main(argv) for n, argv in runs.items()}\n"
+              "Path(sys.argv[2]).write_text(json.dumps(codes))\n")
+    full = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    full.update(env)
+    full["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), str(codes)],
+        cwd=GOLDEN_DIR, env=full, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(codes.read_text())
+    return {n: (got[n], (tmp_path / f"{n}.json").read_bytes()) for n in names}
+
+
+def _enabled_dispatch_features() -> str:
+    """The dispatched CPU features numpy uses here, listed as the CI step
+    that turns them off lists them."""
+    m = (getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+         or np.core._multiarray_umath)
+    return " ".join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f))
+
+
+@pytest.fixture(scope="module")
+def baseline_loop_artifacts(tmp_path_factory):
+    features = _enabled_dispatch_features()
+    if not features:
+        pytest.skip("numpy dispatches no CPU feature here (or all are off)")
+    return _replay(sorted(GOLDEN), {"NPY_DISABLE_CPU_FEATURES": features},
+                   tmp_path_factory.mktemp("simd_off"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_goldens_independent_of_simd_level(name, baseline_loop_artifacts):
+    """Every golden is byte-identical on numpy's baseline loops, with every
+    dispatched CPU feature this machine has turned off."""
+    code, got = baseline_loop_artifacts[name]
+    assert code == EXPECTED_EXIT.get(name, 0)
+    assert got == (GOLDEN_DIR / f"{name}.json").read_bytes()

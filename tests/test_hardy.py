@@ -298,7 +298,7 @@ def _explicit_sum(exprs, xs):
             piece = dd_pow_frac(xs, t.theta, roots.get(t.theta.denominator))
             if t.logpow:
                 piece = piece * dd_ipow(logs, t.logpow)
-            total = total + piece * t.coeff.dd()
+            total = total + piece * t.coeff.dd
         out.append(total)
     return out
 
@@ -375,6 +375,25 @@ def test_sqrt_canonicalization():
     c = Coefficient.irrational("sqrt(8)")
     assert c.parts[0][0] == "sqrt(2)" and c.parts[0][1] == 2
     assert Coefficient.irrational("sqrt(4)").is_rational
+
+
+@pytest.mark.parametrize("coeff", [
+    Coefficient.rational(1),
+    Coefficient.irrational("sqrt(2)", Fraction(3, 7)),
+    Coefficient.irrational("pi", -2),
+])
+def test_coefficient_dd_built_once(coeff):
+    """The double-double is built on the first read and kept: later reads
+    return it, bit for bit a fresh build's, and equality and hashing still
+    see only the parts."""
+    cached = coeff.dd
+    assert coeff.dd is cached
+    twin = Coefficient(coeff.parts)
+    fresh = twin.dd
+    assert cached.hi.tobytes() == fresh.hi.tobytes()
+    assert cached.lo.tobytes() == fresh.lo.tobytes()
+    assert coeff.value == float(fresh)
+    assert coeff == twin and hash(coeff) == hash(twin)
 
 
 def test_irrational_products_rejected():
