@@ -6,12 +6,16 @@ failure (a bound that must hold reported holds=false, or a corpus control
 missing its criterion).  Identical config + seed produce byte-identical
 artifacts at any thread count (the chunk size is the constant
 hardy.DEFAULT_CHUNK): outputs carry no timestamps and keys are sorted.
+``primeud replay`` reruns a JSON artifact from its own ``config`` and
+compares bytes (exit 3 if they differ).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -130,8 +134,12 @@ def _emit(config: RunConfig, results, csv_rows=None, csv_header=None,
     else:
         raise UsageError(f"unknown format {config.fmt!r}")
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write artifact {config.output}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -439,26 +447,10 @@ def _build_measure(cfg: dict) -> SpectralMeasure:
     return SpectralMeasure(k=k, atoms=tuple(atoms), ac_table=tuple(table))
 
 
-def _load_experiment(config: RunConfig) -> dict:
-    path = config.parameters.get("config")
-    if not path:
-        raise UsageError("this command needs --config FILE")
-    try:
-        cfg = load_flat_config(path)
-    except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {path}") from exc
-    if "table_limit" in cfg:
-        config.table_limit = get_int(cfg, "table_limit")
-    if "out" in cfg and not config.output:
-        config.output = cfg["out"]
-    config.parameters["experiment"] = dict(cfg)
-    return cfg
-
-
 def _cmd_ergodic_average(config: RunConfig) -> int:
     from .ergodic import ergodic_average
 
-    cfg = _load_experiment(config)
+    cfg = config.parameters["experiment"]
     if cfg.get("kind", "diagonal-unitary") != "diagonal-unitary":
         raise UsageError("ergodic-average expects kind = diagonal-unitary")
     sysm = _build_unitary(cfg)
@@ -476,7 +468,7 @@ def _cmd_recurrence_scan(config: RunConfig) -> int:
     from .ergodic import (filtered_recurrence, lattice_recurrence_scan,
                           torus_recurrence_average)
 
-    cfg = _load_experiment(config)
+    cfg = config.parameters["experiment"]
     kind = cfg.get("kind")
     spec = _build_spec(cfg)
     N = get_int(cfg, "N")
@@ -501,7 +493,7 @@ def _cmd_recurrence_scan(config: RunConfig) -> int:
 def _cmd_fcplus_probe(config: RunConfig) -> int:
     from .ergodic import fcplus_probe
 
-    cfg = _load_experiment(config)
+    cfg = config.parameters["experiment"]
     sigma = _build_measure(cfg)
     spec = _build_spec(cfg)
     N = get_int(cfg, "N")
@@ -677,6 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("corpus-run", help="positive/negative control matrix")
     sp.add_argument("--N", type=int, default=10_000)
     _add_common(sp, "threads", "table", "cache")
+
+    sp = sub.add_parser("replay", help="rerun JSON artifacts from their config "
+                        "and compare bytes")
+    sp.add_argument("files", nargs="+", metavar="FILE")
+    sp.add_argument("--threads", type=_positive_int, default=RunConfig.threads)
     return ap
 
 
@@ -693,19 +690,38 @@ _HANDLERS = {
 }
 
 
+_RUN_FLAGS = ("seed", "threads", "table_limit")  # flags that are RunConfig fields
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run flags a subparser defines go to their RunConfig fields, the
-    rest to ``parameters``; a flag it lacks keeps the RunConfig default."""
+    rest to ``parameters``; a flag it lacks keeps the RunConfig default.
+
+    An experiment file (``--config``) is read here and nowhere else: its
+    entries go to ``parameters["experiment"]``, its ``table_limit`` sets the
+    run's, and its ``out``, an output path like ``--out``, is no part of the
+    run and is not recorded."""
     params = dict(vars(args))
     command, out, fmt = params.pop("command"), params.pop("out"), params.pop("fmt")
-    run_flags = {k: params.pop(k) for k in ("seed", "threads", "table_limit")
-                 if k in params}
+    run_flags = {k: params.pop(k) for k in _RUN_FLAGS if k in params}
     if command == "sieve":
         run_flags["table_limit"] = params.pop("limit")
     if fmt is None:
         suffix = os.path.splitext(out)[1].lower() if out else ""
         fmt = {".csv": "csv", ".dat": "plotdata", ".plot": "plotdata"}.get(
             suffix, "json")
+    if "config" in params:
+        path = params["config"]
+        try:
+            cfg = load_flat_config(path)
+        except OSError as exc:
+            raise UsageError(f"cannot read config file {path}: "
+                             f"{exc.strerror or exc}") from exc
+        if "table_limit" in cfg:
+            run_flags["table_limit"] = get_int(cfg, "table_limit")
+        cfg_out = cfg.pop("out", None)
+        out = out or cfg_out
+        params["experiment"] = cfg
     return RunConfig(command=command, parameters=params, output=out, fmt=fmt,
                      **run_flags)
 
@@ -718,15 +734,103 @@ def run(config: RunConfig) -> int:
     return handler(config)
 
 
+def replay(path, threads: int = 1) -> tuple[int, bytes]:
+    """Rerun the run a JSON artifact records: its ``config`` (command,
+    parameters, seed, format and table limit) at `threads` threads.  Returns
+    the command's exit code and the artifact bytes it wrote to a buffer.
+
+    The artifact is the whole spec: an experiment is built from
+    ``parameters.experiment``, not from its file, and the artifact goes to
+    no output path.  A file that is no JSON artifact of this version, or
+    whose parameters are not its command's, is a UsageError; so is one that
+    names a prime cache, a path the run would write."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            blob = json.load(f)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise UsageError(f"{path} is not a JSON artifact") from exc
+    cfg = blob.get("config") if isinstance(blob, dict) else None
+    if (not isinstance(cfg, dict) or set(cfg) != set(RunConfig("", {}).effective())
+            or not isinstance(cfg["parameters"], dict) or cfg["format"] != "json"):
+        raise UsageError(f"{path} is not a JSON artifact with a run config")
+    if cfg["version"] != __version__:
+        raise UsageError(f"{path} was written by primeud {cfg['version']}; "
+                         f"this is {__version__}")
+    params, want = cfg["parameters"], _parameter_keys(cfg["command"])
+    if want is None:
+        raise UsageError(f"{path}: {cfg['command']!r} is no artifact command")
+    if set(params) != want:
+        raise UsageError(f"{path}: config.parameters has keys {sorted(params)}; "
+                         f"{cfg['command']} records {sorted(want)}")
+    if params.get("cache") is not None:  # a file the run would (re)write
+        raise UsageError(f"{path} names a prime cache; replay writes no path "
+                         "an artifact records")
+    config = RunConfig(command=cfg["command"], parameters=params,
+                       seed=cfg["seed"], fmt=cfg["format"], threads=threads,
+                       table_limit=cfg["table_limit"])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(config)
+    return code, buf.getvalue().encode("utf-8")
+
+
+def _parameter_keys(command: str) -> set[str] | None:
+    """The ``parameters`` keys that config_from_args records for a run of
+    `command`: its subparser's flags but the run fields; None if no
+    subcommand of that name writes an artifact."""
+    if not isinstance(command, str) or command not in _HANDLERS:
+        return None
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    keys = {a.dest for a in sub.choices[command]._actions} - {
+        "help", "out", "fmt", "limit", *_RUN_FLAGS}  # sieve's --limit: table_limit
+    return keys | {"experiment"} if "config" in keys else keys
+
+
+def _first_difference(got, want, path=""):
+    """(key path, got value, want value) of the first place, in sorted key
+    order, where two JSON values differ; None if they are equal."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        items = [(f"{path}.{k}" if path else k, got.get(k, "(absent)"),
+                  want.get(k, "(absent)")) for k in sorted(got.keys() | want.keys())]
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        items = [(f"{path}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        return None if type(got) is type(want) and got == want else (path, got, want)
+    return next(filter(None, (_first_difference(g, w, p) for p, g, w in items)), None)
+
+
+def _replay_files(paths, threads: int) -> int:
+    """``primeud replay``: exit 0 if every artifact comes back byte for byte
+    (whatever its command's own exit code), else 3."""
+    status = EXIT_OK
+    for path in paths:
+        got = replay(path, threads)[1]
+        with open(path, "rb") as f:
+            want = f.read()
+        if got == want:
+            print(f"{path}: identical")
+            continue
+        status = EXIT_ASSERTION
+        found = _first_difference(json.loads(got), json.loads(want))
+        detail = ("first difference at {}: replay {!r}, file {!r}".format(*found)
+                  if found else "same values, different bytes")
+        print(f"{path}: differs; {detail}", file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = config_from_args(args)
     try:
-        return run(config)
+        if args.command == "replay":
+            return _replay_files(args.files, args.threads)
+        return run(config_from_args(args))
     # ExprSyntaxError and ExprDomainError are ValueErrors too
     except (UsageError, ConfigError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -652,6 +652,8 @@ def verify_differential_inequalities(
     """
     if expr.is_zero:
         raise ValueError("zero expression")
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
     xs = [float(x) for x in x_samples]
     if any(x <= math.e for x in xs):
         raise ValueError("samples must exceed e")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from primeud import hardy
-from primeud.cli import CACHE_ENV, _build_measure, _jsonable, main
+from primeud.cli import CACHE_ENV, _build_measure, _jsonable, main, replay
 from primeud.corpus import CONTROL_CORPUS
 from primeud.ergodic import FcPlusResult
 from primeud.flatcfg import parse_flat_config
@@ -395,13 +395,18 @@ def test_unwritable_cache_exits_2(argv, via_env, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-TORUS_CFG = str(ROOT / "tests" / "golden" / "torus.cfg")  # table_limit = 10^6
-
-
 def test_mismatched_cache_leaves_artifact_unchanged(tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    # the recurrence_torus golden's experiment, whose table_limit is 10^6,
+    # under the relative path the golden records
+    golden_path = ROOT / "tests" / "golden" / "recurrence_torus.json"
+    experiment = load_artifact(golden_path)["config"]["parameters"]["experiment"]
+    torus_cfg = "torus.cfg"
+    Path(torus_cfg).write_text("".join(f"{k} = {v}\n" for k, v in experiment.items()))
     plain = tmp_path / "plain.json"
-    assert run_cli("recurrence-scan", "--config", TORUS_CFG, "--out", str(plain)) == 0
+    assert run_cli("recurrence-scan", "--config", torus_cfg, "--out", str(plain)) == 0
+    assert plain.read_bytes() == golden_path.read_bytes()
     # A larger table under both the --table-limit name and the config's name.
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
@@ -410,7 +415,7 @@ def test_mismatched_cache_leaves_artifact_unchanged(tmp_path, monkeypatch):
         save_prime_cache(bigger, cache_dir / f"primes_{limit}.bin")
     monkeypatch.setenv(CACHE_ENV, str(cache_dir))
     cached = tmp_path / "cached.json"
-    assert run_cli("recurrence-scan", "--config", TORUS_CFG, "--out", str(cached)) == 0
+    assert run_cli("recurrence-scan", "--config", torus_cfg, "--out", str(cached)) == 0
     assert cached.read_bytes() == plain.read_bytes()
     assert load_artifact(cached)["results"]["table_limit"] == 1_000_000
 
@@ -446,6 +451,96 @@ def test_config_hash_stable_across_runs(tmp_path):
     h1 = load_artifact(out1)["config_hash"]
     h2 = load_artifact(out2)["config_hash"]
     assert h1 == h2
+
+
+TORUS_1D = ("kind = torus\nN = 3000\nm = 1\nalpha.1 = 0.6180339887498949\n"
+            "box.1 = 0 1/2\nexprs = x^(3/2)\ntable_limit = 100000\n")
+
+
+def test_config_out_is_no_part_of_the_artifact(tmp_path, monkeypatch):
+    """An experiment file's `out` is an output path, like --out: two files
+    that differ only in it give the same bytes, and a replay writes nothing
+    to it, even where an artifact records one."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name in ("a", "b"):  # one file path: the path is recorded
+        Path("exp.cfg").write_text(TORUS_1D + f"out = {name}.json\n")
+        assert run_cli("recurrence-scan", "--config", "exp.cfg") == 0
+    assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
+    blob = load_artifact("a.json")
+    assert "out" not in blob["config"]["parameters"]["experiment"]
+    Path("a.json").rename("kept.json")
+    assert replay("kept.json") == (0, Path("kept.json").read_bytes())
+    blob["config"]["parameters"]["experiment"]["out"] = "c.json"
+    Path("recorded.json").write_text(json.dumps(blob))
+    code, got = replay("recorded.json")
+    assert code == 0 and json.loads(got)["results"] == blob["results"]
+    assert not Path("a.json").exists() and not Path("c.json").exists()
+
+
+def test_replay_rebuilds_the_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for seed in ("0", "7"):
+        assert run_cli("bound-check", "--which", "vdc", "--seed", seed,
+                       "--out", f"vdc{seed}.json") == 0
+    assert (load_artifact("vdc0.json")["results"]
+            != load_artifact("vdc7.json")["results"])
+    assert run_cli("replay", "vdc7.json", "--threads", "2") == 0
+    assert capsys.readouterr().out == "vdc7.json: identical\n"
+
+
+def test_replay_names_the_first_difference(tmp_path, capsys):
+    good = tmp_path / "w.json"
+    assert run_cli("weyl-sum", "--expr", "x^(1/2)", "--domain", "integers",
+                   "--range", "2", "1000", "--out", str(good)) == 0
+    blob = json.loads(good.read_text())
+    blob["results"]["sum"][1] += 1e-9
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    assert run_cli("replay", str(bad), str(good)) == 3
+    out, err = capsys.readouterr()
+    assert out == f"{good}: identical\n"
+    assert f"{bad}: differs; first difference at results.sum[1]: " in err
+    assert f"file {blob['results']['sum'][1]!r}" in err
+
+
+def _doctored(blob, **config):
+    """A copy of an artifact with some config values replaced."""
+    return json.dumps({**blob, "config": {**blob["config"], **config}})
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("csv", "is not a JSON artifact"),
+    ("text", "is not a JSON artifact"),
+    ("list", "is not a JSON artifact with a run config"),
+    ("no-seed", "is not a JSON artifact with a run config"),
+    ("format", "is not a JSON artifact with a run config"),
+    ("version", "was written by primeud 0.0.1"),
+    ("command", "'replay' is no artifact command"),
+    ("no-param", "config.parameters has keys []; sieve records ['cache']"),
+    ("cache", "names a prime cache"),
+    ("missing", "cannot read"),
+])
+def test_replay_refuses_a_bad_file(kind, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("sieve", "--limit", "100", "--out", "s.json") == 0
+    assert run_cli("sieve", "--limit", "100", "--out", "s.csv") == 0
+    blob = load_artifact("s.json")
+    no_seed = {k: v for k, v in blob["config"].items() if k != "seed"}
+    Path("victim").write_text("not a prime table\n")
+    files = {"csv": Path("s.csv").read_text(), "text": "sieve\n", "list": "[1]",
+             "no-seed": json.dumps({**blob, "config": no_seed}),
+             "format": _doctored(blob, format="csv"),
+             "version": _doctored(blob, version="0.0.1"),
+             "command": _doctored(blob, command="replay"),
+             "no-param": _doctored(blob, parameters={}),
+             "cache": _doctored(blob, parameters={"cache": "victim"})}
+    if kind in files:
+        Path(f"{kind}.x").write_text(files[kind])
+    assert run_cli("replay", "s.json", f"{kind}.x") == 2
+    err = capsys.readouterr().err
+    assert f"{kind}.x" in err and message in err and "Traceback" not in err
+    assert Path("victim").read_text() == "not a prime table\n"
 
 
 UD_SMALL = ["ud-test", "--expr", "x^(1/2)", "--N", "100", "--table-limit", "10000"]
@@ -512,6 +607,14 @@ X4_SCAN = ["recurrence-scan", "--table-limit", "300000", "--config"]
            "--N", "1000000000000000000"], "error: out of memory"),
     _case(["weyl-sum", "--expr", "x^(1/2)", "--domain", "integers",
            "--range", "2", "1000000000000000000"], "error: out of memory"),
+    _case(["bound-check", "--which", "differential", "--expr", "x^(1/2)",
+           "--j-max", "-1"], "j_max must be >= 0"),
+    # an artifact path that cannot be written, a config that cannot be read
+    _case(["sieve", "--limit", "100", "--out", "no_such_dir/a.json"],
+          "cannot write artifact no_such_dir/a.json"),
+    _case(["recurrence-scan", "--config", "."], "cannot read config file ."),
+    _case(["recurrence-scan", "--config", "nope.cfg"],
+          "cannot read config file nope.cfg"),
     _case(X4_SCAN + ["x4_20000.cfg"], "exceeds the compensated range (2^70)"),
     _case(X4_SCAN + ["x4_10000.cfg"], "floor exceeds the int64 range"),
     *(_unread(cmd, flag, "3", *rest)

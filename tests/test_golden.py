@@ -1,11 +1,12 @@
-"""Byte-exact artifacts for a fixed command set.
+"""Byte-exact artifacts: every ``tests/golden/*.json`` replays itself.
 
-Each ``tests/golden/<name>.json`` is the artifact of ``GOLDEN[name]``, run
-from inside ``tests/golden/`` with ``--out <name>.json`` and
-``PRIMEUD_CACHE_DIR`` unset (config paths are recorded as given).  A change
-that moves any byte of an artifact fails here; rewrite a golden file only
-for a change whose numbers are meant to move, and say so where the change
-is recorded.
+A golden is the artifact of one CLI run, and its ``config`` is the whole
+spec of that run: ``cli.replay`` rebuilds the run from it, from an empty
+directory with ``PRIMEUD_CACHE_DIR`` unset, and must give back the file's
+bytes.  A new golden is added by running its command once with ``--out
+tests/golden/<name>.json``; no test names it.  A change that moves any byte
+of an artifact fails here; rewrite a golden file only for a change whose
+numbers are meant to move, and say so where the change is recorded.
 """
 
 import json
@@ -18,121 +19,71 @@ import jsonschema
 import numpy as np
 import pytest
 
-from primeud.cli import CACHE_ENV, main
+from primeud.cli import CACHE_ENV, RunConfig, build_parser, config_from_args, replay
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMAS = ROOT / "schemas"
 
-GOLDEN = {
-    "ud_primes_checkpoints": [
-        "ud-test", "--expr", "x^(3/2)", "--N", "40000",
-        "--checkpoints", "1000,10000,40000", "--threads", "2",
-        "--table-limit", "1000000"],
-    "ud_integers": [
-        "ud-test", "--expr", "x^(1/2) + log^2", "--domain", "integers",
-        "--N", "30000"],
-    "ud_primes_in_ap": [
-        "ud-test", "--expr", "irr(0.318309886)*x^(5/3)",
-        "--domain", "primes_in_ap", "--modulus", "4", "--residue", "3",
-        "--N", "20000", "--table-limit", "1000000"],
-    "weyl_integers": [
-        "weyl-sum", "--expr", "pi*x^(3/2)", "--domain", "integers",
-        "--range", "777", "60000"],
-    "weyl_primes": [
-        "weyl-sum", "--expr", "x^(1/2) + log^2", "--X", "1000000",
-        "--X0", "12345", "--threads", "2", "--table-limit", "1000000"],
-    "vaughan_phase": [
-        "vaughan-check", "--X", "50000", "--u", "30", "--v", "30",
-        "--phase", "irr(0.7071067811)*x^2"],
-    "recurrence_torus": [
-        "recurrence-scan", "--config", "torus.cfg", "--table-limit", "1000000"],
-    "recurrence_lattice_r2": [
-        "recurrence-scan", "--config", "lattice.cfg",
-        "--table-limit", "1000000"],
-    "recurrence_torus_r2": [
-        "recurrence-scan", "--config", "torus_r2.cfg", "--table-limit", "1000000"],
-    "fcplus_probe": [
-        "fcplus-probe", "--config", "measure.cfg", "--table-limit", "1000000"],
-    "ergodic_average": [
-        "ergodic-average", "--config", "unitary.cfg",
-        "--table-limit", "1000000"],
-    "bound_erdos_turan": [
-        "bound-check", "--which", "erdos-turan", "--expr", "x^(1/2)",
-        "--N", "20000", "--Q", "40", "--table-limit", "1000000"],
-    "bound_kusmin_landau": [
-        "bound-check", "--which", "kusmin-landau", "--expr", "x^(1/2)",
-        "--range", "1000", "40000"],
-    "bound_vdc": ["bound-check", "--which", "vdc"],
-    "bound_composite": [
-        "bound-check", "--which", "composite", "--expr", "x^(3/2)",
-        "--X1", "20000", "--X", "5000"],
-    "bound_differential": [
-        "bound-check", "--which", "differential", "--expr", "x^(1/2) + log^2"],
-    "sieve": ["sieve", "--limit", "100000"],
-    "corpus_run": ["corpus-run", "--N", "3000", "--table-limit", "200000"],
-}
+GOLDENS = sorted(path.stem for path in GOLDEN_DIR.glob("*.json"))
 
 # Exit codes other than 0: at N = 3000 some corpus controls miss their
 # criterion, so the run records the failure and exits 3.
 EXPECTED_EXIT = {"corpus_run": 3}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artifact_matches_golden(name, tmp_path, monkeypatch):
+def _path(name):
+    return GOLDEN_DIR / f"{name}.json"
+
+
+@pytest.fixture
+def empty_dir(tmp_path, monkeypatch):
+    """Replays run where no experiment file lies, with no cache dir."""
     monkeypatch.delenv(CACHE_ENV, raising=False)
-    monkeypatch.chdir(GOLDEN_DIR)
-    out = tmp_path / f"{name}.json"
-    assert main(GOLDEN[name] + ["--out", str(out)]) == EXPECTED_EXIT.get(name, 0)
-    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
-def test_corpus_run_computes_no_harmonics(tmp_path, monkeypatch):
+def test_every_expected_exit_names_a_golden():
+    assert set(EXPECTED_EXIT) <= set(GOLDENS)
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_artifact_matches_golden(name, empty_dir):
+    code, got = replay(_path(name))
+    assert code == EXPECTED_EXIT.get(name, 0)
+    assert got == _path(name).read_bytes()
+    assert not any(empty_dir.iterdir())  # the replay wrote no file
+
+
+def test_corpus_run_computes_no_harmonics(empty_dir, monkeypatch):
     """corpus-run prints only D*, so it computes no harmonic sums."""
     def no_harmonics(points, Q):
         raise AssertionError("corpus-run computed harmonic sums")
 
     monkeypatch.setattr("primeud.discrepancy.weyl_moduli", no_harmonics)
     monkeypatch.setattr("primeud.expsums.weyl_moduli", no_harmonics)
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    monkeypatch.chdir(GOLDEN_DIR)
-    out = tmp_path / "corpus_run.json"
-    code = main(GOLDEN["corpus_run"] + ["--out", str(out)])
+    code, got = replay(_path("corpus_run"))
     assert code == EXPECTED_EXIT["corpus_run"]
-    assert out.read_bytes() == (GOLDEN_DIR / "corpus_run.json").read_bytes()
+    assert got == _path("corpus_run").read_bytes()
 
 
-# The commands that take --threads, and the goldens they write.
-THREADED = ("ud-test", "weyl-sum", "vaughan-check", "bound-check", "corpus-run")
-THREADED_GOLDENS = sorted(n for n in GOLDEN if GOLDEN[n][0] in THREADED)
-
-
-def _with_threads(argv, threads):
-    if "--threads" in argv:
-        i = argv.index("--threads")
-        argv = argv[:i] + argv[i + 2:]
-    return argv + ["--threads", str(threads)]
-
-
-@pytest.mark.parametrize("name", THREADED_GOLDENS)
-def test_artifact_independent_of_threads(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", GOLDENS)
+def test_artifact_independent_of_threads(name, empty_dir, monkeypatch):
     """The thread count is no part of an artifact: at 1 and 2 threads the
     bytes are the golden's."""
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    monkeypatch.chdir(GOLDEN_DIR)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on one CPU too
-    want = (GOLDEN_DIR / f"{name}.json").read_bytes()
+    want = _path(name).read_bytes()
     for threads in (1, 2):
-        out = tmp_path / f"{name}_{threads}.json"
-        argv = _with_threads(GOLDEN[name], threads) + ["--out", str(out)]
-        assert main(argv) == EXPECTED_EXIT.get(name, 0)
-        assert out.read_bytes() == want, threads
+        code, got = replay(_path(name), threads)
+        assert code == EXPECTED_EXIT.get(name, 0)
+        assert got == want, threads
 
 
 # Every bound check but `differential` (a table of ratio rows, not one
 # bound) reports one bound-vs-actual result.
-BOUND_GOLDENS = sorted(n for n in GOLDEN if n.startswith("bound_")
-                       and n != "bound_differential")
+BOUND_GOLDENS = [n for n in GOLDENS if n.startswith("bound_")
+                 and n != "bound_differential"]
 
 
 def _schema(name):
@@ -140,7 +91,46 @@ def _schema(name):
 
 
 def _golden(name):
-    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    return json.loads(_path(name).read_text())
+
+
+def _argv(config):
+    """A command line for a recorded run: each parameter that is not None
+    as its flag, and the seed and table limit where they are not
+    RunConfig's defaults."""
+    argv = [config["command"]]
+    for key, value in config["parameters"].items():
+        flag = "--" + key.replace("_", "-")
+        if value is None:
+            continue
+        if key == "range":  # the one two-value flag
+            argv += [flag, *map(str, value)]
+        elif isinstance(value, list):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, str(value)]
+    if config["seed"] != RunConfig.seed:
+        argv += ["--seed", str(config["seed"])]
+    if config["command"] == "sieve":
+        argv += ["--limit", str(config["table_limit"])]
+    elif config["table_limit"] != RunConfig.table_limit:
+        argv += ["--table-limit", str(config["table_limit"])]
+    return argv
+
+
+# Goldens run from flags alone; the experiment commands read a file, which
+# test_cli.py::test_mismatched_cache_leaves_artifact_unchanged covers.
+FLAG_GOLDENS = [n for n in GOLDENS
+                if "experiment" not in _golden(n)["config"]["parameters"]]
+
+
+@pytest.mark.parametrize("name", FLAG_GOLDENS)
+def test_flags_give_the_golden_config(name):
+    """From argv to a run: a golden's parameters, given as flags, come back
+    as its config through the parser and config_from_args."""
+    config = _golden(name)["config"]
+    args = build_parser().parse_args(_argv(config))
+    assert config_from_args(args).effective() == config
 
 
 @pytest.mark.parametrize("name", BOUND_GOLDENS)
@@ -148,7 +138,7 @@ def test_bound_check_results_match_schema(name):
     jsonschema.validate(_golden(name)["results"], _schema("bound_report"))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", GOLDENS)
 def test_golden_matches_artifact_schema(name):
     jsonschema.validate(_golden(name), _schema("run_artifact"))
 
@@ -188,23 +178,20 @@ def _assert_close(got, want, tol, path="results"):
         assert got == want, path
 
 
-def _assert_within(name, tol, tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    monkeypatch.chdir(GOLDEN_DIR)
-    out = tmp_path / f"{name}.json"
-    assert main(GOLDEN[name] + ["--out", str(out)]) == 0
-    got = json.loads(out.read_text())
-    want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+def _assert_within(name, tol):
+    code, got = replay(_path(name))
+    assert code == EXPECTED_EXIT.get(name, 0)
+    got, want = json.loads(got), _golden(name)
     assert got["config"] == want["config"]
     _assert_close(got["results"], want["results"], tol)
 
 
 @pytest.mark.parametrize("name", WEIGHTED_SUM_GOLDENS)
-def test_weighted_sum_goldens_within_bound(name, tmp_path, monkeypatch):
+def test_weighted_sum_goldens_within_bound(name, empty_dir):
     """Every value within 1e-9 absolute of the golden: the bound a change
     to the order of the weighted sums must meet before these goldens are
     rewritten."""
-    _assert_within(name, 1e-9, tmp_path, monkeypatch)
+    _assert_within(name, 1e-9)
 
 
 # Artifacts whose float results come from the harmonic sums
@@ -214,51 +201,55 @@ HARMONIC_GOLDENS = ("bound_erdos_turan", "ud_integers",
 
 
 @pytest.mark.parametrize("name", HARMONIC_GOLDENS)
-def test_harmonic_goldens_within_bound(name, tmp_path, monkeypatch):
+def test_harmonic_goldens_within_bound(name, empty_dir):
     """Every value within 1e-15 absolute of the golden: the bound a change
     to the harmonic-sum kernel must meet before these goldens are
     rewritten."""
-    _assert_within(name, 1e-15, tmp_path, monkeypatch)
+    _assert_within(name, 1e-15)
 
 
-@pytest.mark.parametrize("name", WEIGHTED_SUM_GOLDENS)
-def test_goldens_independent_of_blas_kernel(name, tmp_path):
-    """The artifact is byte-identical when OpenBLAS is made to pick its
-    Nehalem kernels, which have no fused multiply-add."""
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
-    env["OPENBLAS_CORETYPE"] = "Nehalem"
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = tmp_path / f"{name}.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "primeud", *GOLDEN[name], "--out", str(out)],
-        cwd=GOLDEN_DIR, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
-
-
-def _replay(names, env, tmp_path):
-    """Run GOLDEN[name] for each name in one fresh interpreter, with env
-    added to the environment and PRIMEUD_CACHE_DIR unset; returns
-    {name: (exit code, artifact bytes)}."""
-    runs = {n: GOLDEN[n] + ["--out", str(tmp_path / f"{n}.json")] for n in names}
-    codes = tmp_path / "exit_codes.json"
+def _replay_in_subprocess(names, env, tmp_path):
+    """Replay each named golden in one fresh interpreter, from the empty
+    directory tmp_path, with env added to the environment and
+    PRIMEUD_CACHE_DIR unset; returns {name: (exit code, artifact bytes)}."""
     script = ("import json, sys\n"
               "from pathlib import Path\n"
-              "from primeud.cli import main\n"
-              "runs = json.loads(sys.argv[1])\n"
-              "codes = {n: main(argv) for n, argv in runs.items()}\n"
-              "Path(sys.argv[2]).write_text(json.dumps(codes))\n")
+              "from primeud.cli import replay\n"
+              "codes = {}\n"
+              "for path in map(Path, sys.argv[1:]):\n"
+              "    codes[path.stem], got = replay(path)\n"
+              "    Path(path.name).write_bytes(got)\n"
+              "Path('exit_codes.json').write_text(json.dumps(codes))\n")
     full = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
     full.update(env)
     full["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(runs), str(codes)],
-        cwd=GOLDEN_DIR, env=full, capture_output=True, text=True, timeout=600)
+        [sys.executable, "-c", script, *map(str, map(_path, names))],
+        cwd=tmp_path, env=full, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(codes.read_text())
-    return {n: (got[n], (tmp_path / f"{n}.json").read_bytes()) for n in names}
+    codes = json.loads((tmp_path / "exit_codes.json").read_text())
+    return {n: (codes[n], (tmp_path / f"{n}.json").read_bytes()) for n in names}
+
+
+def _assert_replayed(name, replays):
+    code, got = replays[name]
+    assert code == EXPECTED_EXIT.get(name, 0)
+    assert got == _path(name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def nehalem_kernel_artifacts(tmp_path_factory):
+    return _replay_in_subprocess(WEIGHTED_SUM_GOLDENS,
+                                 {"OPENBLAS_CORETYPE": "Nehalem"},
+                                 tmp_path_factory.mktemp("nehalem"))
+
+
+@pytest.mark.parametrize("name", WEIGHTED_SUM_GOLDENS)
+def test_goldens_independent_of_blas_kernel(name, nehalem_kernel_artifacts):
+    """The artifact is byte-identical when OpenBLAS is made to pick its
+    Nehalem kernels, which have no fused multiply-add."""
+    _assert_replayed(name, nehalem_kernel_artifacts)
 
 
 def _enabled_dispatch_features() -> str:
@@ -274,14 +265,12 @@ def baseline_loop_artifacts(tmp_path_factory):
     features = _enabled_dispatch_features()
     if not features:
         pytest.skip("numpy dispatches no CPU feature here (or all are off)")
-    return _replay(sorted(GOLDEN), {"NPY_DISABLE_CPU_FEATURES": features},
-                   tmp_path_factory.mktemp("simd_off"))
+    return _replay_in_subprocess(GOLDENS, {"NPY_DISABLE_CPU_FEATURES": features},
+                                 tmp_path_factory.mktemp("simd_off"))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", GOLDENS)
 def test_goldens_independent_of_simd_level(name, baseline_loop_artifacts):
     """Every golden is byte-identical on numpy's baseline loops, with every
     dispatched CPU feature this machine has turned off."""
-    code, got = baseline_loop_artifacts[name]
-    assert code == EXPECTED_EXIT.get(name, 0)
-    assert got == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    _assert_replayed(name, baseline_loop_artifacts)
