@@ -8,4 +8,4 @@ defines them (``from primeud.primes import sieve``), so a process loads
 only the modules it uses.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

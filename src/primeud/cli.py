@@ -39,6 +39,7 @@ from .flatcfg import (
 from .primes import load_prime_cache, save_prime_cache, sieve, vaughan_decompose
 
 if TYPE_CHECKING:
+    from .discrepancy import DiscrepancyReport
     from .ergodic import (DiagonalUnitarySystem, LatticeSet, SequenceSpec,
                           SpectralMeasure, TorusSystem)
 
@@ -66,12 +67,13 @@ class RunConfig:
     fmt: str = "json"
     threads: int = 1
     table_limit: int = 2_000_000
+    cache: str | None = None
 
     def effective(self) -> dict:
-        """Every field but the output path and the thread count (``fmt`` as
-        ``format``), and the version."""
+        """Every field but the output path, the thread count and the prime
+        cache path (``fmt`` as ``format``), and the version."""
         eff = _jsonable(self)
-        del eff["output"], eff["threads"]
+        del eff["output"], eff["threads"], eff["cache"]
         eff["format"] = eff.pop("fmt")
         return {**eff, "version": __version__}
 
@@ -82,10 +84,15 @@ class RunConfig:
 
 def _jsonable(v):
     """The one conversion of a result to JSON values: a dataclass instance
-    becomes a dict of its fields, complex numbers [re, im], fractions
-    strings, numpy scalars and arrays Python numbers and lists."""
+    becomes a dict of its fields and its public properties, complex numbers
+    [re, im], fractions strings, numpy scalars and arrays Python numbers and
+    lists."""
     if is_dataclass(v) and not isinstance(v, type):
-        return {f.name: _jsonable(getattr(v, f.name)) for f in fields(v)}
+        cls = type(v)
+        names = [f.name for f in fields(v)] + [
+            n for n in dir(cls)
+            if not n.startswith("_") and isinstance(getattr(cls, n), property)]
+        return {n: _jsonable(getattr(v, n)) for n in names}
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -103,17 +110,17 @@ def _jsonable(v):
     return v
 
 
-def _emit(config: RunConfig, results, csv_rows=None, csv_header=None,
-          plot_rows=None, **extra) -> None:
+def _emit(config: RunConfig, record, csv_rows=None, csv_header=None,
+          plot_rows=None) -> None:
     """Write the artifact in the selected format (or pretty-print to stdout).
 
-    `results` is a result dataclass or a dict; the artifact's ``results``
-    are its fields (or items) plus the keys of `extra`.
+    `record` is the command's result dataclass; the artifact's ``results``
+    are its fields and public properties.
     """
     payload = {
         "config": config.effective(),
         "config_hash": config.digest(),
-        "results": {**_jsonable(results), **_jsonable(extra)},
+        "results": _jsonable(record),
     }
     if config.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -157,7 +164,7 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 
 def _cache_path(config: RunConfig) -> str | None:
     """--cache, else primes_<table limit>.bin under $PRIMEUD_CACHE_DIR."""
-    cache = config.parameters.get("cache")
+    cache = config.cache
     if cache is None and os.environ.get(CACHE_ENV):
         cache = os.path.join(os.environ[CACHE_ENV], f"primes_{config.table_limit}.bin")
     return cache
@@ -199,23 +206,53 @@ def _parse_expr_arg(text: str):
         raise UsageError(f"malformed expression literal: {exc}") from exc
 
 
+# -- result records of the commands whose library returns none ------------------
+
+
+@dataclass(frozen=True)
+class SieveResult:
+    limit: int
+    count: int
+    pi_checkpoints: dict[str, int]
+    largest: int
+
+
+@dataclass(frozen=True)
+class UdTestResult:
+    reports: tuple[DiscrepancyReport, ...]  # one per checkpoint
+
+
+@dataclass(frozen=True)
+class CorpusRow:
+    name: str
+    expr: str
+    klass: str
+    expected_ud: bool
+    criterion_ud: bool
+    criterion_consistent: bool
+    stars: dict[str, float]  # D* at N = 1000 and at the run's N
+    check: str
+    passed: bool
+
+
+@dataclass(frozen=True)
+class CorpusResult:
+    N: int
+    entries: tuple[CorpusRow, ...]
+    all_pass: bool
+
+
 # -- subcommand handlers ---------------------------------------------------------
 
 
 def _cmd_sieve(config: RunConfig) -> int:
     table = sieve(config.table_limit)
-    cache = _cache_path(config)
-    _save_cache(table, cache)
+    _save_cache(table, _cache_path(config))
     rows = sorted(table.pi_checkpoints.items())
-    results = {
-        "limit": table.limit,
-        "count": len(table.primes),
-        "pi_checkpoints": {str(k): v for k, v in rows},
-        "largest": int(table.primes[-1]),
-        "cache": cache,
-    }
-    _emit(config, results, csv_rows=rows, csv_header=["x", "pi"],
-          plot_rows=rows)
+    res = SieveResult(limit=table.limit, count=len(table.primes),
+                      pi_checkpoints={str(k): v for k, v in rows},
+                      largest=int(table.primes[-1]))
+    _emit(config, res, csv_rows=rows, csv_header=["x", "pi"], plot_rows=rows)
     return EXIT_OK
 
 
@@ -238,20 +275,16 @@ def _cmd_ud_test(config: RunConfig) -> int:
     table = None
     if domain != "integers":
         table = _get_table(config)
-    reports = []
-    for N in checkpoints:
-        rep = equidistribution_report(
-            expr, p["q"], domain, N, table,
-            modulus=p["modulus"], residue=p["residue"], threads=config.threads,
-        )
-        reports.append(rep)
+    reports = tuple(equidistribution_report(
+        expr, p["q"], domain, N, table, modulus=p["modulus"],
+        residue=p["residue"], threads=config.threads) for N in checkpoints)
     csv_rows = [
         (r.N, f"{r.star:.12g}", f"{r.et_bound:.12g}",
          f"{max(m for _, m in r.weyl_moduli):.12g}")
         for r in reports
     ]
     plot_rows = [(r.N, f"{r.star:.12g}") for r in reports]
-    _emit(config, {"reports": reports}, csv_rows=csv_rows,
+    _emit(config, UdTestResult(reports), csv_rows=csv_rows,
           csv_header=["N", "star", "et_bound", "max_weyl_q10"],
           plot_rows=plot_rows)
     return EXIT_OK
@@ -301,10 +334,8 @@ def _cmd_vaughan_check(config: RunConfig) -> int:
         tbl = np.exp(2j * np.pi * rng.random(size))
 
     rep = vaughan_decompose(tbl, u, v)
-    holds = rep.relative_residual < 1e-9
-    _emit(config, rep, residual=rep.residual,
-          relative_residual=rep.relative_residual, identity_holds=holds)
-    return EXIT_OK if holds else EXIT_ASSERTION
+    _emit(config, rep)
+    return EXIT_OK if rep.identity_holds else EXIT_ASSERTION
 
 
 def _cmd_bound_check(config: RunConfig) -> int:
@@ -345,12 +376,11 @@ def _cmd_bound_check(config: RunConfig) -> int:
         expr = _parse_expr_arg(p["expr"])
         samples = p["samples"] or [10.0**j for j in (1, 2, 3, 4, 5, 6)]
         rep = verify_differential_inequalities(expr, samples, j_max=p["j_max"])
-        _emit(config, {"rows": rep.rows}, all_ok=rep.all_ok,
-              flagged=len(rep.flagged))
+        _emit(config, rep)
         return EXIT_OK if rep.all_ok else EXIT_ASSERTION
     else:
         raise UsageError(f"unknown bound check {which!r}")
-    _emit(config, rep, ratio=rep.ratio)
+    _emit(config, rep)
     return EXIT_ASSERTION if must_hold and not rep.holds else EXIT_OK
 
 
@@ -458,9 +488,7 @@ def _cmd_ergodic_average(config: RunConfig) -> int:
     if spec.poly_degree or spec.L is not None:
         raise UsageError("ergodic-average uses floor coordinates only")
     N = get_int(cfg, "N")
-    table = _get_table(config)
-    res = ergodic_average(sysm, spec.exprs, N, table)
-    _emit(config, res, N=N, table_limit=table.limit)
+    _emit(config, ergodic_average(sysm, spec.exprs, N, _get_table(config)))
     return EXIT_OK
 
 
@@ -486,7 +514,7 @@ def _cmd_recurrence_scan(config: RunConfig) -> int:
         res = torus_recurrence_average(target, spec, N, table)
     else:
         res = lattice_recurrence_scan(target, spec, N, table)
-    _emit(config, res, kind=kind, margin=res.margin, table_limit=table.limit)
+    _emit(config, res)
     return EXIT_OK
 
 
@@ -498,8 +526,7 @@ def _cmd_fcplus_probe(config: RunConfig) -> int:
     spec = _build_spec(cfg)
     N = get_int(cfg, "N")
     table = _get_table(config)
-    res = fcplus_probe(sigma, spec, N, table)
-    _emit(config, res, table_limit=table.limit)
+    _emit(config, fcplus_probe(sigma, spec, N, table))
     return EXIT_OK
 
 
@@ -529,27 +556,20 @@ def _cmd_corpus_run(config: RunConfig) -> int:
             passed = stars[N] > 0.05
             verdict = "floor"
         consistent = criterion == entry.expected_ud
-        rows.append({
-            "name": entry.name,
-            "expr": entry.literal,
-            "class": entry.klass,
-            "expected_ud": entry.expected_ud,
-            "criterion_ud": criterion,
-            "criterion_consistent": consistent,
-            "stars": {str(k): v for k, v in stars.items()},
-            "check": verdict,
-            "passed": bool(passed),
-        })
+        rows.append(CorpusRow(
+            name=entry.name, expr=entry.literal, klass=entry.klass,
+            expected_ud=entry.expected_ud, criterion_ud=criterion,
+            criterion_consistent=consistent,
+            stars={str(k): v for k, v in stars.items()},
+            check=verdict, passed=passed))
         all_pass &= passed and consistent
-    results = {"N": N, "entries": rows, "all_pass": all_pass,
-               "table_limit": table.limit}
     csv_rows = [
-        (r["name"], r["expected_ud"], r["criterion_ud"],
-         f"{r['stars'][str(1000)]:.12g}", f"{r['stars'][str(N)]:.12g}",
-         r["check"], r["passed"])
+        (r.name, r.expected_ud, r.criterion_ud, f"{r.stars['1000']:.12g}",
+         f"{r.stars[str(N)]:.12g}", r.check, r.passed)
         for r in rows
     ]
-    _emit(config, results, csv_rows=csv_rows,
+    _emit(config, CorpusResult(N=N, entries=tuple(rows), all_pass=all_pass),
+          csv_rows=csv_rows,
           csv_header=["name", "expected_ud", "criterion_ud",
                       "star_1000", f"star_{N}", "check", "passed"])
     return EXIT_OK if all_pass else EXIT_ASSERTION
@@ -690,7 +710,7 @@ _HANDLERS = {
 }
 
 
-_RUN_FLAGS = ("seed", "threads", "table_limit")  # flags that are RunConfig fields
+_RUN_FLAGS = ("seed", "threads", "table_limit", "cache")  # RunConfig fields
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -699,19 +719,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
     An experiment file (``--config``) is read here and nowhere else: its
     entries go to ``parameters["experiment"]``, its ``table_limit`` sets the
-    run's, and its ``out``, an output path like ``--out``, is no part of the
-    run and is not recorded."""
+    run's, and its ``out``, an output path like ``--out``, sets the format
+    as ``--out`` does.  Neither the file's path nor ``out`` is recorded."""
     params = dict(vars(args))
     command, out, fmt = params.pop("command"), params.pop("out"), params.pop("fmt")
     run_flags = {k: params.pop(k) for k in _RUN_FLAGS if k in params}
     if command == "sieve":
         run_flags["table_limit"] = params.pop("limit")
-    if fmt is None:
-        suffix = os.path.splitext(out)[1].lower() if out else ""
-        fmt = {".csv": "csv", ".dat": "plotdata", ".plot": "plotdata"}.get(
-            suffix, "json")
     if "config" in params:
-        path = params["config"]
+        path = params.pop("config")
         try:
             cfg = load_flat_config(path)
         except OSError as exc:
@@ -722,6 +738,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg_out = cfg.pop("out", None)
         out = out or cfg_out
         params["experiment"] = cfg
+    if fmt is None:
+        suffix = os.path.splitext(out)[1].lower() if out else ""
+        fmt = {".csv": "csv", ".dat": "plotdata", ".plot": "plotdata"}.get(
+            suffix, "json")
     return RunConfig(command=command, parameters=params, output=out, fmt=fmt,
                      **run_flags)
 
@@ -741,9 +761,9 @@ def replay(path, threads: int = 1) -> tuple[int, bytes]:
 
     The artifact is the whole spec: an experiment is built from
     ``parameters.experiment``, not from its file, and the artifact goes to
-    no output path.  A file that is no JSON artifact of this version, or
-    whose parameters are not its command's, is a UsageError; so is one that
-    names a prime cache, a path the run would write."""
+    no output path; an artifact records no path at all.  A file that is no
+    JSON artifact of this version, or whose parameters are not its
+    command's, is a UsageError."""
     try:
         with open(path, encoding="utf-8") as f:
             blob = json.load(f)
@@ -764,9 +784,6 @@ def replay(path, threads: int = 1) -> tuple[int, bytes]:
     if set(params) != want:
         raise UsageError(f"{path}: config.parameters has keys {sorted(params)}; "
                          f"{cfg['command']} records {sorted(want)}")
-    if params.get("cache") is not None:  # a file the run would (re)write
-        raise UsageError(f"{path} names a prime cache; replay writes no path "
-                         "an artifact records")
     config = RunConfig(command=cfg["command"], parameters=params,
                        seed=cfg["seed"], fmt=cfg["format"], threads=threads,
                        table_limit=cfg["table_limit"])
@@ -786,7 +803,7 @@ def _parameter_keys(command: str) -> set[str] | None:
                if isinstance(a, argparse._SubParsersAction))
     keys = {a.dest for a in sub.choices[command]._actions} - {
         "help", "out", "fmt", "limit", *_RUN_FLAGS}  # sieve's --limit: table_limit
-    return keys | {"experiment"} if "config" in keys else keys
+    return keys - {"config"} | {"experiment"} if "config" in keys else keys
 
 
 def _first_difference(got, want, path=""):

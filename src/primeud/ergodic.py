@@ -148,6 +148,7 @@ class ErgodicAverageResult:
     average: np.ndarray
     projection: np.ndarray
     deviation: float
+    N: int
     boundary_events: int
 
 
@@ -173,8 +174,8 @@ def ergodic_average(sys: DiagonalUnitarySystem, exprs: Sequence[HardyExpr],
         avg[j] = _fsum_complex(sums) / N * sys.f[j]
     diff = avg - proj
     deviation = math.sqrt(math.fsum(np.concatenate([diff.real**2, diff.imag**2])))
-    return ErgodicAverageResult(average=avg, projection=proj,
-                                deviation=deviation, boundary_events=events)
+    return ErgodicAverageResult(average=avg, projection=proj, deviation=deviation,
+                                N=N, boundary_events=events)
 
 
 # -- torus systems ------------------------------------------------------------------

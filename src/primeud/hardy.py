@@ -622,8 +622,9 @@ class InequalityReport:
         return all(r.ok for r in self.rows if r.ok is not None)
 
     @property
-    def flagged(self) -> tuple[RatioRow, ...]:
-        return tuple(r for r in self.rows if r.ok is None)
+    def flagged(self) -> int:
+        """The number of rows left unchecked (ok is None)."""
+        return sum(r.ok is None for r in self.rows)
 
 
 def _ratio_row(eq, x, j, value, lower, upper) -> RatioRow:

@@ -19,6 +19,9 @@ import numpy as np
 DEFAULT_SEGMENT = 1 << 20  # odd numbers per segment (~1 MB of bool mask)
 MAX_SIEVE_LIMIT = 1 << 40
 
+# The largest relative residual at which the Vaughan identity holds.
+IDENTITY_TOL = 1e-9
+
 _CACHE_MAGIC = b"UDPRIMES"
 _CACHE_VERSION = 1
 
@@ -168,16 +171,16 @@ class VaughanReport:
     lhs: complex  # sum over v < n <= X of Lambda(n) g(n)
 
     @property
-    def rhs(self) -> complex:
-        return self.t1 - self.t2 - self.t3
-
-    @property
     def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
+        return abs(self.lhs - (self.t1 - self.t2 - self.t3))
 
     @property
     def relative_residual(self) -> float:
         return self.residual / (1.0 + abs(self.lhs))
+
+    @property
+    def identity_holds(self) -> bool:
+        return self.relative_residual < IDENTITY_TOL
 
 
 def vaughan_decompose(gv: np.ndarray, u: int, v: int) -> VaughanReport:

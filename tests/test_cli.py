@@ -8,23 +8,21 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
+from artifact_schema import validator
 
-from primeud import hardy
+from primeud import __version__, hardy
 from primeud.cli import CACHE_ENV, _build_measure, _jsonable, main, replay
 from primeud.corpus import CONTROL_CORPUS
 from primeud.ergodic import FcPlusResult
 from primeud.flatcfg import parse_flat_config
 from primeud.literals import format_expr, parse_expr
-from primeud.primes import save_prime_cache, sieve
+from primeud.primes import load_prime_cache, save_prime_cache, sieve
 
 ROOT = Path(__file__).resolve().parents[1]
-ARTIFACT_SCHEMA = json.loads(
-    (ROOT / "schemas" / "run_artifact.schema.json").read_text())
-BOUND_SCHEMA = json.loads(
-    (ROOT / "schemas" / "bound_report.schema.json").read_text())
+ARTIFACT = validator("run_artifact.schema.json")
+BOUND_REPORT = validator("bound_report.schema.json")
 
 
 def run_cli(*args):
@@ -32,9 +30,10 @@ def run_cli(*args):
 
 
 def load_artifact(path):
-    """Parse a JSON artifact and check it against the run-artifact schema."""
+    """Parse a JSON artifact and check it against the run-artifact schema,
+    which closes the results of each command."""
     blob = json.loads(Path(path).read_text())
-    jsonschema.validate(blob, ARTIFACT_SCHEMA)
+    ARTIFACT.validate(blob)
     return blob
 
 
@@ -181,7 +180,7 @@ BOUND_EXAMPLES = (
 def test_bound_check_examples(argv, tmp_path):
     out = tmp_path / "b.json"
     assert run_cli("bound-check", "--which", *argv, "--out", str(out)) == 0
-    jsonschema.validate(load_artifact(out)["results"], BOUND_SCHEMA)
+    BOUND_REPORT.validate(load_artifact(out)["results"])
 
 
 def test_bound_check_differential_failure_exits_3(tmp_path):
@@ -369,10 +368,8 @@ def test_sieve_cache_named_after_limit(tmp_path, monkeypatch):
     assert run_cli("sieve", "--limit", "3000", "--out", str(out)) == 0
     cache = tmp_path / "primes_3000.bin"
     assert cache.exists()
-    blob = load_artifact(out)
-    assert blob["results"]["cache"] == str(cache)
-    # only an explicit --cache is part of the config
-    assert blob["config"]["parameters"]["cache"] is None
+    load_artifact(out)
+    assert str(tmp_path) not in out.read_text()  # the artifact names no path
 
 
 @pytest.mark.parametrize("argv, via_env", [
@@ -417,7 +414,8 @@ def test_mismatched_cache_leaves_artifact_unchanged(tmp_path, monkeypatch):
     cached = tmp_path / "cached.json"
     assert run_cli("recurrence-scan", "--config", torus_cfg, "--out", str(cached)) == 0
     assert cached.read_bytes() == plain.read_bytes()
-    assert load_artifact(cached)["results"]["table_limit"] == 1_000_000
+    # the cache of the wrong limit was not used, but rebuilt at the run's
+    assert load_prime_cache(cache_dir / "primes_1000000.bin").limit == 1_000_000
 
 
 def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch):
@@ -463,7 +461,7 @@ def test_config_out_is_no_part_of_the_artifact(tmp_path, monkeypatch):
     to it, even where an artifact records one."""
     monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
-    for name in ("a", "b"):  # one file path: the path is recorded
+    for name in ("a", "b"):  # one file path, so that only `out` differs
         Path("exp.cfg").write_text(TORUS_1D + f"out = {name}.json\n")
         assert run_cli("recurrence-scan", "--config", "exp.cfg") == 0
     assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
@@ -476,6 +474,55 @@ def test_config_out_is_no_part_of_the_artifact(tmp_path, monkeypatch):
     code, got = replay("recorded.json")
     assert code == 0 and json.loads(got)["results"] == blob["results"]
     assert not Path("a.json").exists() and not Path("c.json").exists()
+
+
+def test_config_out_sets_the_format(tmp_path, monkeypatch, capsys):
+    """An experiment file's `out` sets the format as --out does."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("csv.cfg").write_text(TORUS_1D + "out = r.csv\n")
+    assert run_cli("recurrence-scan", "--config", "csv.cfg") == 2
+    assert "has no CSV form" in capsys.readouterr().err
+    assert not Path("r.csv").exists()
+    Path("json.cfg").write_text(TORUS_1D + "out = r.json\n")
+    assert run_cli("recurrence-scan", "--config", "json.cfg") == 0
+    assert load_artifact("r.json")["config"]["format"] == "json"
+
+
+WEYL_PRIMES = ["weyl-sum", "--expr", "x^(1/2)", "--X", "10000",
+               "--table-limit", "10000"]
+
+
+def test_artifact_records_no_cache_path(tmp_path, monkeypatch):
+    """--cache A, --cache B and $PRIMEUD_CACHE_DIR give the same bytes, and a
+    replay of the --cache A artifact leaves A untouched."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name in ("A", "B"):
+        assert run_cli(*WEYL_PRIMES, "--cache", name, "--out", f"{name}.json") == 0
+    Path("dir").mkdir()
+    monkeypatch.setenv(CACHE_ENV, "dir")
+    assert run_cli(*WEYL_PRIMES, "--out", "env.json") == 0
+    assert Path("dir/primes_10000.bin").exists()
+    want = Path("A.json").read_bytes()
+    assert Path("B.json").read_bytes() == want == Path("env.json").read_bytes()
+    assert "cache" not in load_artifact("A.json")["config"]["parameters"]
+    monkeypatch.delenv(CACHE_ENV)
+    Path("A").write_text("not a prime table\n")  # a run using A would rebuild it
+    assert replay("A.json") == (0, want)
+    assert Path("A").read_text() == "not a prime table\n"
+
+
+def test_artifact_records_no_config_path(tmp_path, monkeypatch):
+    """The same experiment at two --config paths gives the same bytes."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("sub").mkdir()
+    for i, path in enumerate(("exp.cfg", "sub/other.cfg")):
+        Path(path).write_text(TORUS_1D)
+        assert run_cli("recurrence-scan", "--config", path, "--out", f"{i}.json") == 0
+    assert Path("0.json").read_bytes() == Path("1.json").read_bytes()
+    assert set(load_artifact("0.json")["config"]["parameters"]) == {"experiment"}
 
 
 def test_replay_rebuilds_the_seed(tmp_path, monkeypatch, capsys):
@@ -516,9 +563,13 @@ def _doctored(blob, **config):
     ("no-seed", "is not a JSON artifact with a run config"),
     ("format", "is not a JSON artifact with a run config"),
     ("version", "was written by primeud 0.0.1"),
+    ("v0.1.0", f"was written by primeud 0.1.0; this is {__version__}"),
     ("command", "'replay' is no artifact command"),
-    ("no-param", "config.parameters has keys []; sieve records ['cache']"),
-    ("cache", "names a prime cache"),
+    pytest.param("no-param", "config.parameters has keys []; weyl-sum records "
+                 "['X', 'X0', 'domain', 'expr', 'q', 'range']",
+                 id="no-param-weyl-sum without its parameters"),
+    pytest.param("cache", "config.parameters has keys ['cache']; sieve records []",
+                 id="cache-parameters record a cache path"),
     ("missing", "cannot read"),
 ])
 def test_replay_refuses_a_bad_file(kind, message, tmp_path, monkeypatch, capsys):
@@ -532,8 +583,10 @@ def test_replay_refuses_a_bad_file(kind, message, tmp_path, monkeypatch, capsys)
              "no-seed": json.dumps({**blob, "config": no_seed}),
              "format": _doctored(blob, format="csv"),
              "version": _doctored(blob, version="0.0.1"),
+             "v0.1.0": _doctored(blob, version="0.1.0"),
              "command": _doctored(blob, command="replay"),
-             "no-param": _doctored(blob, parameters={}),
+             "no-param": _doctored(blob, command="weyl-sum"),
+             # a 0.1.0-style artifact, which recorded its --cache path
              "cache": _doctored(blob, parameters={"cache": "victim"})}
     if kind in files:
         Path(f"{kind}.x").write_text(files[kind])

@@ -4,8 +4,8 @@ table and writes an artifact that matches the run-artifact schema."""
 import json
 from pathlib import Path
 
-import jsonschema
 import pytest
+from artifact_schema import validator
 
 from primeud.cli import main
 from primeud.flatcfg import load_flat_config
@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "examples").glob("**/*.cfg"))
 COMMAND = {"unitary": "ergodic-average", "torus": "recurrence-scan",
            "lattice": "recurrence-scan", "measure": "fcplus-probe"}
-SCHEMA = json.loads((ROOT / "schemas" / "run_artifact.schema.json").read_text())
+ARTIFACT = validator("run_artifact.schema.json")
 
 
 def test_all_examples_are_found():
@@ -30,4 +30,4 @@ def test_example_runs(path, tmp_path):
     out = tmp_path / "artifact.json"
     assert main([COMMAND[path.parent.name], "--config", str(small),
                  "--out", str(out)]) == 0
-    jsonschema.validate(json.loads(out.read_text()), SCHEMA)
+    ARTIFACT.validate(json.loads(out.read_text()))

@@ -319,9 +319,11 @@ def test_erdos_turan_randomized(rng):
 
 
 def test_bound_report_serialization():
+    """A report serializes as its fields plus its public properties."""
     rep = erdos_turan_bound(np.zeros(5), 2)
     blob = _jsonable(rep)
-    assert set(blob) == {f.name for f in dataclasses.fields(rep)}
+    assert set(blob) == {f.name for f in dataclasses.fields(rep)} | {"ratio"}
+    assert blob["ratio"] == rep.ratio
     assert json.loads(json.dumps(blob)) == blob
 
 

@@ -2,8 +2,10 @@
 
 A golden is the artifact of one CLI run, and its ``config`` is the whole
 spec of that run: ``cli.replay`` rebuilds the run from it, from an empty
-directory with ``PRIMEUD_CACHE_DIR`` unset, and must give back the file's
-bytes.  A new golden is added by running its command once with ``--out
+directory, and must give back the file's bytes, with ``PRIMEUD_CACHE_DIR``
+unset or set.  Each golden also validates against the schema generated
+from its command's result records (``artifact_schema.py``).  A new golden
+is added by running its command once with ``--out
 tests/golden/<name>.json``; no test names it.  A change that moves any byte
 of an artifact fails here; rewrite a golden file only for a change whose
 numbers are meant to move, and say so where the change is recorded.
@@ -18,12 +20,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from artifact_schema import GENERATED, SCHEMAS, render, validator
 
 from primeud.cli import CACHE_ENV, RunConfig, build_parser, config_from_args, replay
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMAS = ROOT / "schemas"
 
 GOLDENS = sorted(path.stem for path in GOLDEN_DIR.glob("*.json"))
 
@@ -69,6 +71,21 @@ def test_corpus_run_computes_no_harmonics(empty_dir, monkeypatch):
 
 
 @pytest.mark.parametrize("name", GOLDENS)
+def test_artifact_independent_of_cache_dir(name, empty_dir, monkeypatch):
+    """An artifact names no cache path: with $PRIMEUD_CACHE_DIR set, a replay
+    on a cold cache (which it writes) and one on the warm cache give back
+    the golden's bytes."""
+    cache_dir = empty_dir / "cache"
+    cache_dir.mkdir()
+    monkeypatch.setenv(CACHE_ENV, str(cache_dir))
+    want = _path(name).read_bytes()
+    for cache in ("cold", "warm"):
+        code, got = replay(_path(name))
+        assert code == EXPECTED_EXIT.get(name, 0)
+        assert got == want, cache
+
+
+@pytest.mark.parametrize("name", GOLDENS)
 def test_artifact_independent_of_threads(name, empty_dir, monkeypatch):
     """The thread count is no part of an artifact: at 1 and 2 threads the
     bytes are the golden's."""
@@ -84,10 +101,6 @@ def test_artifact_independent_of_threads(name, empty_dir, monkeypatch):
 # bound) reports one bound-vs-actual result.
 BOUND_GOLDENS = [n for n in GOLDENS if n.startswith("bound_")
                  and n != "bound_differential"]
-
-
-def _schema(name):
-    return json.loads((SCHEMAS / f"{name}.schema.json").read_text())
 
 
 def _golden(name):
@@ -133,26 +146,44 @@ def test_flags_give_the_golden_config(name):
     assert config_from_args(args).effective() == config
 
 
+ARTIFACT = validator("run_artifact.schema.json")
+BOUND_REPORT = validator("bound_report.schema.json")
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_schemas_are_generated(name):
+    """Each file in schemas/ is the generator's output, byte for byte, and a
+    valid draft 2020-12 schema."""
+    text = render(GENERATED[name]())
+    assert (SCHEMAS / name).read_text() == text
+    jsonschema.Draft202012Validator.check_schema(json.loads(text))
+
+
 @pytest.mark.parametrize("name", BOUND_GOLDENS)
 def test_bound_check_results_match_schema(name):
-    jsonschema.validate(_golden(name)["results"], _schema("bound_report"))
+    BOUND_REPORT.validate(_golden(name)["results"])
 
 
 @pytest.mark.parametrize("name", GOLDENS)
 def test_golden_matches_artifact_schema(name):
-    jsonschema.validate(_golden(name), _schema("run_artifact"))
+    ARTIFACT.validate(_golden(name))
 
 
 def test_schemas_refuse_unknown_keys():
-    """The schemas are closed: a key that is no part of the artifact, such
-    as a deleted one, is refused."""
-    blob = _golden("bound_composite")
-    blob["config"]["threads"] = 1
-    blob["results"]["chunk_size"] = 16384
-    with pytest.raises(jsonschema.ValidationError, match="threads"):
-        jsonschema.validate(blob, _schema("run_artifact"))
-    with pytest.raises(jsonschema.ValidationError, match="chunk_size"):
-        jsonschema.validate(blob["results"], _schema("bound_report"))
+    """The schemas are closed, and the results are closed per command: in
+    every golden, a key added to its config or results, or one of its
+    results keys removed, is refused."""
+    for name in GOLDENS:
+        for part in ("config", "results"):
+            blob = _golden(name)
+            blob[part]["threads"] = 1
+            with pytest.raises(jsonschema.ValidationError, match="threads"):
+                ARTIFACT.validate(blob)
+        for key in _golden(name)["results"]:
+            blob = _golden(name)
+            del blob["results"][key]
+            with pytest.raises(jsonschema.ValidationError):
+                ARTIFACT.validate(blob)
 
 
 # Artifacts whose float results come from weighted sums of index vectors
